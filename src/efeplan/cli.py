@@ -10,13 +10,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
-import numpy as np
-
-from .harness import ConfigError, derive_rng, load_config, run_experiment, run_trial, write_outputs
-from .envs import make_environment
+from .harness import (
+    ConfigError,
+    build_environment,
+    derive_rng,
+    load_config,
+    run_experiment,
+    run_trial,
+    write_outputs,
+)
 from .model import History, ModelFormatError, load_model
-from .planning import policy_posterior
+from .planning import _scored_posterior
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -58,18 +64,18 @@ def cmd_plan(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        history = History(
-            observations=_parse_index_list(args.obs),
-            actions=_parse_index_list(args.actions),
-        )
-        posterior = policy_posterior(model, history, gamma=args.gamma)
+        observations = _parse_index_list(args.obs)
+        actions = _parse_index_list(args.actions)
+    except ValueError as exc:
+        print(f"bad history: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        history = History(observations=observations, actions=actions)
+        posterior, rows = _scored_posterior(model, history, args.gamma)
     except ValueError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    from .planning import efe_table
-
-    _, rows = efe_table(model, history)
     order = sorted(
         range(len(rows)), key=lambda i: (rows[i].total, posterior.policies[i].actions)
     )
@@ -103,8 +109,19 @@ def cmd_run(args) -> int:
         print("no output directory configured", file=sys.stderr)
         return EXIT_PARSE
     try:
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
         result = run_experiment(config)
         paths = write_outputs(result, output_dir)
+    except ConfigError as exc:
+        print(f"config failure: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"model failure: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -133,7 +150,7 @@ def cmd_trace(args) -> int:
     agent_index = names.index(agent_name)
     spec = config.agents[agent_index]
     try:
-        model, env = make_environment(config.environment, config.env_overrides)
+        model, env, reward_per_obs = build_environment(config)
         rng = derive_rng(config.master_seed, agent_index, args.trial)
         record, trace = run_trial(
             model,
@@ -142,13 +159,12 @@ def cmd_trace(args) -> int:
             config.gamma,
             spec.selection,
             rng,
-            reward_per_obs=(
-                np.asarray(config.reward_per_obs, dtype=float)
-                if config.reward_per_obs is not None
-                else None
-            ),
+            reward_per_obs=reward_per_obs,
             trial_index=args.trial,
         )
+    except ConfigError as exc:
+        print(f"config failure: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ValueError, RuntimeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

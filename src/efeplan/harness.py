@@ -1,11 +1,16 @@
 """Receding-horizon trial loop, multi-trial experiments, and CSV emission.
 
-One trial: reset the environment, then at every decision time infer the
-preference posterior, score every remaining policy under the agent's
-objective, marginalize the policy posterior onto the next action, execute it,
-and record everything. Experiments repeat trials with per-trial RNG substreams
-derived statelessly from (master_seed, agent_index, trial_index), so results
-are independent of execution order and reruns are byte-identical.
+One trial: reset the environment, then at every decision time score every
+remaining policy under the agent's objective, marginalize the policy posterior
+onto the next action, execute it, and record everything. Experiments repeat
+trials with per-trial RNG substreams derived statelessly from (master_seed,
+agent_index, trial_index), so results are independent of execution order and
+reruns are byte-identical.
+
+Everything a decision derives from its history before the RNG draw is a pure
+function of (model, history, kind, gamma, reward), so an experiment builds its
+model once and plans each distinct history of an agent once; trials that
+revisit a history share the cached, read-only arrays.
 """
 from __future__ import annotations
 
@@ -17,14 +22,14 @@ import numpy as np
 
 from .envs import Environment, make_environment
 from .inference import MarginalBeliefs, filter_and_smooth, preferential_inference
-from .maths import softmax
 from .model import Categorical, GenerativeModel, History
 from .planning import (
     EfeBreakdown,
     ObjectiveKind,
     SelectionMode,
+    _scored_posterior,
+    _tied_argmax,
     action_marginal,
-    policy_scores,
     select_action,
 )
 
@@ -173,6 +178,39 @@ def derive_rng(master_seed: int, agent_index: int, trial_index: int) -> np.rando
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What one decision derives from its history before the RNG draw."""
+
+    policy_probs: np.ndarray
+    marginal: Categorical
+    efe_rows: tuple[EfeBreakdown, ...]
+    held_at: MarginalBeliefs  # predictive under the greedy plan
+
+
+class PlanCache:
+    """Plans and post-trial posteriors of one agent, keyed by history.
+
+    Valid for a single (model, kind, gamma, reward_per_obs); run_experiment
+    keeps one per agent for the length of the experiment.
+    """
+
+    def __init__(self):
+        self.plans: dict[History, _Plan] = {}
+        self.smoothed: dict[History, MarginalBeliefs] = {}
+
+
+def _plan(model, history, kind, gamma, reward_per_obs) -> _Plan:
+    posterior, rows = _scored_posterior(model, history, gamma, kind, reward_per_obs)
+    greedy = posterior.policies[_tied_argmax(posterior.probs.probs)]
+    return _Plan(
+        policy_probs=posterior.probs.probs,
+        marginal=action_marginal(posterior, model.n_actions),
+        efe_rows=tuple(rows),
+        held_at=filter_and_smooth(model, history, greedy),
+    )
+
+
 def run_trial(
     model: GenerativeModel,
     env: Environment,
@@ -182,34 +220,31 @@ def run_trial(
     rng: np.random.Generator,
     reward_per_obs: np.ndarray | None = None,
     trial_index: int = 0,
+    cache: PlanCache | None = None,
 ) -> tuple[TrialRecord, BeliefTrace]:
-    """Run one receding-horizon episode of the given agent against the environment."""
+    """Run one receding-horizon episode of the given agent against the environment.
+
+    A cache shared across calls must only be shared by calls with the same
+    model, kind, gamma and reward_per_obs.
+    """
     if reward_per_obs is None:
         reward_per_obs = model.preferences.obs_log_pref
+    if cache is None:
+        cache = PlanCache()
     observations = [int(env.reset(rng))]
     context = env.ground_truth() % 2
     actions: list[int] = []
-    marginals: list[np.ndarray] = []
-    policy_probs: list[np.ndarray] = []
-    efe_rows: list[tuple[EfeBreakdown, ...]] = []
-    held_at: list[MarginalBeliefs] = []
+    plans: list[_Plan] = []
 
     try:
         done = False
         while not done:
             history = History(tuple(observations), tuple(actions))
-            preferential_inference(model, history)
-            policies, scores, rows = policy_scores(model, history, kind, reward_per_obs)
-            probs = softmax(gamma * scores)
-            posterior_marginal = _first_action_marginal(policies, probs, model.n_actions)
-            action = select_action(posterior_marginal, mode, rng)
-
-            marginals.append(posterior_marginal.probs.copy())
-            policy_probs.append(probs.copy())
-            if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
-                efe_rows.append(tuple(rows))
-            greedy = policies[int(np.argmax(probs))]
-            held_at.append(filter_and_smooth(model, history, greedy))
+            plan = cache.plans.get(history)
+            if plan is None:
+                plan = cache.plans[history] = _plan(model, history, kind, gamma, reward_per_obs)
+            plans.append(plan)
+            action = select_action(plan.marginal, mode, rng)
 
             obs, done = env.step(action)
             actions.append(int(action))
@@ -219,7 +254,10 @@ def run_trial(
             f"trial {trial_index}, agent {kind.value!r}: {exc}"
         ) from exc
 
-    held_at.append(filter_and_smooth(model, History(tuple(observations), tuple(actions))))
+    final = History(tuple(observations), tuple(actions))
+    smoothed = cache.smoothed.get(final)
+    if smoothed is None:
+        smoothed = cache.smoothed[final] = preferential_inference(model, final).past
     score = float(env.score(observations, actions))
     record = TrialRecord(
         trial_index=trial_index,
@@ -228,18 +266,16 @@ def run_trial(
         observations=tuple(observations),
         actions=tuple(actions),
         score=score,
-        action_marginals=tuple(marginals),
-        policy_probs=tuple(policy_probs),
-        efe_rows=tuple(efe_rows) if efe_rows else None,
+        action_marginals=tuple(p.marginal.probs for p in plans),
+        policy_probs=tuple(p.policy_probs for p in plans),
+        efe_rows=(
+            tuple(p.efe_rows for p in plans)
+            if kind is ObjectiveKind.EXPECTED_FREE_ENERGY
+            else None
+        ),
     )
-    return record, BeliefTrace(held_at=tuple(held_at))
-
-
-def _first_action_marginal(policies, probs, n_actions) -> Categorical:
-    marginal = np.zeros(n_actions)
-    for policy, p in zip(policies, probs):
-        marginal[policy.actions[0]] += p
-    return Categorical(marginal / marginal.sum())
+    held_at = tuple(p.held_at for p in plans) + (smoothed,)
+    return record, BeliefTrace(held_at=held_at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,16 +286,37 @@ class ExperimentResult:
     summary: dict
 
 
+def build_environment(
+    config: ExperimentConfig,
+) -> tuple[GenerativeModel, Environment, np.ndarray]:
+    """The config's (model, environment) pair and its checked reward vector.
+
+    reward_per_obs defaults to the model's observation log-preferences; a
+    configured vector of the wrong length is a ConfigError.
+    """
+    model, env = make_environment(config.environment, config.env_overrides)
+    if config.reward_per_obs is None:
+        return model, env, model.preferences.obs_log_pref
+    reward = np.asarray(config.reward_per_obs, dtype=float)
+    if reward.shape != (model.n_obs,):
+        raise ConfigError(
+            f"reward_per_obs has {reward.size} entries, "
+            f"the {config.environment!r} model has {model.n_obs} observations"
+        )
+    return model, env, reward
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run n_trials independent trials per configured agent and summarize scores."""
+    model, env, reward_per_obs = build_environment(config)
     records: dict[str, list[TrialRecord]] = {}
     traces: dict[str, list[BeliefTrace]] = {}
     summary_agents = {}
     for agent_index, spec in enumerate(config.agents):
         agent_records = []
         agent_traces = []
+        cache = PlanCache()
         for trial in range(config.n_trials):
-            model, env = make_environment(config.environment, config.env_overrides)
             rng = derive_rng(config.master_seed, agent_index, trial)
             record, trace = run_trial(
                 model,
@@ -268,12 +325,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 config.gamma,
                 spec.selection,
                 rng,
-                reward_per_obs=(
-                    np.asarray(config.reward_per_obs, dtype=float)
-                    if config.reward_per_obs is not None
-                    else None
-                ),
+                reward_per_obs=reward_per_obs,
                 trial_index=trial,
+                cache=cache,
             )
             agent_records.append(record)
             agent_traces.append(trace)

@@ -360,17 +360,30 @@ def policy_posterior(
     is exposed as an explicit precision generalization. Comparison objectives
     use exp(+gamma * score) so the maximizer is always the mode.
     """
+    return _scored_posterior(model, history, gamma, kind, reward_per_obs, cap)[0]
+
+
+def _scored_posterior(
+    model: GenerativeModel,
+    history: History,
+    gamma: float,
+    kind: ObjectiveKind = ObjectiveKind.EXPECTED_FREE_ENERGY,
+    reward_per_obs: np.ndarray | None = None,
+    cap: int = POLICY_CAP,
+) -> tuple[PolicyPosterior, list[EfeBreakdown]]:
+    """policy_posterior plus the EFE breakdowns its single tree pass scored."""
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     if model.horizon - history.t < 1:
         raise ValueError("no decisions remain at this history")
-    policies, scores, _ = policy_scores(model, history, kind, reward_per_obs, cap)
+    policies, scores, rows = policy_scores(model, history, kind, reward_per_obs, cap)
     log_weights = gamma * scores
-    return PolicyPosterior(
+    posterior = PolicyPosterior(
         policies=policies,
         log_weights=log_weights,
         probs=Categorical(softmax(log_weights)),
     )
+    return posterior, rows
 
 
 def action_marginal(posterior: PolicyPosterior, n_actions: int | None = None) -> Categorical:
@@ -385,6 +398,11 @@ def action_marginal(posterior: PolicyPosterior, n_actions: int | None = None) ->
     return Categorical(marginal / marginal.sum())
 
 
+def _tied_argmax(probs: np.ndarray) -> int:
+    """Lowest index whose entry lies within ARGMAX_TIE_ATOL of the maximum."""
+    return int(np.flatnonzero(probs >= probs.max() - ARGMAX_TIE_ATOL)[0])
+
+
 def select_action(
     marginal: Categorical,
     mode: SelectionMode = SelectionMode.ARGMAX,
@@ -395,8 +413,7 @@ def select_action(
     Under argmax, entries within ARGMAX_TIE_ATOL of the maximum count as tied.
     """
     if mode is SelectionMode.ARGMAX:
-        probs = marginal.probs
-        return int(np.flatnonzero(probs >= probs.max() - ARGMAX_TIE_ATOL)[0])
+        return _tied_argmax(marginal.probs)
     if rng is None:
         raise ValueError("sampling selection requires an rng substream")
     return int(rng.choice(len(marginal), p=marginal.probs))

@@ -98,6 +98,12 @@ def test_plan_inconsistent_history_exit_1(tmaze_path, capsys):
     assert "planning failed" in capsys.readouterr().err
 
 
+def test_plan_unparseable_history_exit_2(tmaze_path, capsys):
+    assert main(["plan", str(tmaze_path), "--obs", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad history:") and len(err.splitlines()) == 1
+
+
 def test_run_writes_files_and_reruns_identically(config_path, tmp_path, capsys):
     assert main(["run", str(config_path)]) == 0
     out_dir = tmp_path / "out"
@@ -118,6 +124,41 @@ def test_run_output_dir_flag_and_env(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("EFEPLAN_OUTPUT_DIR", str(env_dir))
     assert main(["run", str(config_path)]) == 0
     assert (env_dir / "summary.json").exists()
+
+
+def test_run_output_dir_under_regular_file_exit_2(config_path, tmp_path, capsys):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory", encoding="utf-8")
+    code = main(["run", str(config_path), "--output-dir", str(blocker / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot create output directory:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_run_unwritable_output_file_exit_2(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "trials.csv").mkdir(parents=True)
+    assert main(["run", str(config_path), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write outputs:") and len(err.splitlines()) == 1
+
+
+def test_run_reward_per_obs_wrong_length_exit_2(tmp_path, capsys):
+    doc = {
+        "environment": {"name": "tmaze"},
+        "agents": ["reward"],
+        "n_trials": 1,
+        "reward_per_obs": [1.0, -1.0],
+        "output_dir": str(tmp_path / "o"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config failure: reward_per_obs has 2 entries")
+    assert main(["trace", str(path), "0"]) == 2
 
 
 def test_run_bad_config_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import efeplan as ep
+from efeplan import planning
 
 
 def small_config(**over):
@@ -133,24 +134,93 @@ def test_experiment_rerun_identical():
 
 def test_reward_agent_first_action_uniform_chi_square():
     # all 16 policies tie at expected reward 0, so the sampled first action
-    # must be 4-way uniform; chi-square at n=4000 with a 0.001 critical value
+    # must be 4-way uniform; chi-square at n=4000 with a 0.001 critical value.
+    # As agent 0 of master seed 12345, trial i draws from derive_rng(12345, 0, i).
     n = 4000
+    cfg = small_config(agents=["reward"], n_trials=n, master_seed=12345)
     counts = np.zeros(4)
-    for i in range(n):
-        model, env = ep.make_environment("tmaze")
-        record, _ = ep.run_trial(
-            model,
-            env,
-            ep.ObjectiveKind.EXPECTED_REWARD,
-            1.0,
-            ep.SelectionMode.SAMPLE,
-            ep.derive_rng(12345, 0, i),
-        )
+    for record in ep.run_experiment(cfg).records["reward"]:
         counts[record.actions[0]] += 1
         assert np.allclose(record.action_marginals[0], 0.25, atol=1e-12)
     expected = n / 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 16.27  # chi-square df=3 at p=0.001
+
+
+def test_experiment_plans_each_distinct_history_once(monkeypatch):
+    calls = []
+    original = planning.policy_scores
+
+    def counting(model, history, kind, *args, **kwargs):
+        calls.append((kind, history))
+        return original(model, history, kind, *args, **kwargs)
+
+    monkeypatch.setattr(planning, "policy_scores", counting)
+    result = ep.run_experiment(small_config(n_trials=30))
+    distinct = set()
+    for name, agent_records in result.records.items():
+        for rec in agent_records:
+            for t in range(len(rec.actions)):
+                history = ep.History(rec.observations[: t + 1], rec.actions[:t])
+                distinct.add((ep.ObjectiveKind(name), history))
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert set(calls) == distinct
+
+
+def test_experiment_records_match_fresh_trials():
+    cfg = small_config(n_trials=12)
+    result = ep.run_experiment(cfg)
+    for agent_index, spec in enumerate(cfg.agents):
+        for trial, cached in enumerate(result.records[spec.name]):
+            model, env = ep.make_environment("tmaze")
+            fresh, trace = ep.run_trial(
+                model,
+                env,
+                spec.kind,
+                cfg.gamma,
+                spec.selection,
+                ep.derive_rng(cfg.master_seed, agent_index, trial),
+                trial_index=trial,
+            )
+            assert records_equal(cached, fresh)
+            held = result.traces[spec.name][trial].held_at
+            for a, b in zip(held, trace.held_at):
+                assert np.array_equal(a.array(), b.array())
+
+
+def test_cached_arrays_are_read_only():
+    result = ep.run_experiment(small_config(n_trials=3, agents=["efe"]))
+    rec = result.records["efe"][0]
+    for array in rec.action_marginals + rec.policy_probs:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_greedy_plan_starts_with_executed_action():
+    # Every first-decision policy ties, and so does every t=1 policy from the
+    # middle; under the tie rule the greedy plan behind held_at[0] is the
+    # lowest-index policy, which is the route the agent then takes.
+    model, env = ep.make_environment("tmaze")
+    record, trace = ep.run_trial(
+        model,
+        env,
+        ep.ObjectiveKind.EXPECTED_FREE_ENERGY,
+        1.0,
+        ep.SelectionMode.ARGMAX,
+        ep.derive_rng(2026, 0, 0),
+    )
+    first = ep.History(record.observations[:1], ())
+    held = trace.held_at[0].array()
+    matching = [
+        second
+        for second in range(model.n_actions)
+        if np.array_equal(
+            held,
+            ep.filter_and_smooth(model, first, ep.Policy((record.actions[0], second))).array(),
+        )
+    ]
+    assert record.actions == (0, 0)
+    assert matching == [record.actions[1]]
 
 
 def test_info_gain_agent_never_stays_middle():
