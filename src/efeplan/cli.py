@@ -38,6 +38,26 @@ def _parse_index_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _parse_history(model, obs_text: str, actions_text: str) -> History:
+    """The --obs/--actions history; ValueError if it is malformed for the model.
+
+    Malformed means not integers, lengths that do not pair up, or an index
+    outside the model's observations or actions. A well-formed history the
+    model cannot produce is left to planning.
+    """
+    history = History(_parse_index_list(obs_text), _parse_index_list(actions_text))
+    for name, indices, count in (
+        ("observation", history.observations, model.n_obs),
+        ("action", history.actions, model.n_actions),
+    ):
+        for i in indices:
+            if not 0 <= i < count:
+                raise ValueError(
+                    f"{name} index {i} out of range (the model has {count} {name}s)"
+                )
+    return history
+
+
 def cmd_validate(args) -> int:
     try:
         load_model(args.model)
@@ -64,13 +84,11 @@ def cmd_plan(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        observations = _parse_index_list(args.obs)
-        actions = _parse_index_list(args.actions)
+        history = _parse_history(model, args.obs, args.actions)
     except ValueError as exc:
         print(f"bad history: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        history = History(observations=observations, actions=actions)
         posterior, rows = _scored_posterior(model, history, args.gamma)
     except ValueError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)

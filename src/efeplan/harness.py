@@ -356,8 +356,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=config, records=records, traces=traces, summary=summary)
 
 
+def _write_prefixed(fh, prefix: str, lines: tuple[str, ...]) -> None:
+    """Write each of lines, prefixed and newline-terminated, in one call."""
+    if lines:
+        fh.write(prefix + ("\n" + prefix).join(lines) + "\n")
+
+
 def write_outputs(result: ExperimentResult, output_dir) -> list[Path]:
-    """Emit trials.csv, beliefs.csv, efe.csv and summary.json deterministically."""
+    """Emit trials.csv, beliefs.csv, efe.csv and summary.json deterministically.
+
+    Trials that share a history share its plan objects (see PlanCache), so the
+    per-decision belief and EFE lines are formatted once per distinct object
+    and reused under each trial's prefix. The memos are keyed by identity, not
+    value: EfeBreakdown(-0.0, ...) == EfeBreakdown(0.0, ...), yet the two print
+    differently. The result keeps every keyed object alive, so no id is reused
+    while writing.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     fmt = lambda x: FLOAT_FMT % float(x)  # noqa: E731
@@ -375,19 +389,23 @@ def write_outputs(result: ExperimentResult, output_dir) -> list[Path]:
                     )
 
     beliefs_path = out / "beliefs.csv"
+    belief_lines: dict[int, tuple[str, ...]] = {}
     with open(beliefs_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("trial,agent,decision_time,belief_time,state,probability\n")
         for name, agent_traces in result.traces.items():
             for trial, trace in enumerate(agent_traces):
                 for dt, beliefs in enumerate(trace.held_at):
-                    for bt in range(len(beliefs)):
-                        probs = beliefs[bt].probs
-                        for s in range(len(probs)):
-                            fh.write(
-                                f"{trial},{name},{dt},{bt},{s},{fmt(probs[s])}\n"
-                            )
+                    lines = belief_lines.get(id(beliefs))
+                    if lines is None:
+                        lines = belief_lines[id(beliefs)] = tuple(
+                            f"{bt},{s},{fmt(p)}"
+                            for bt in range(len(beliefs))
+                            for s, p in enumerate(beliefs[bt].probs)
+                        )
+                    _write_prefixed(fh, f"{trial},{name},{dt},", lines)
 
     efe_path = out / "efe.csv"
+    efe_lines: dict[int, tuple[str, ...]] = {}
     with open(efe_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             "trial,t,policy_index,total,risk,ambiguity,extrinsic,intrinsic,residual\n"
@@ -397,9 +415,13 @@ def write_outputs(result: ExperimentResult, output_dir) -> list[Path]:
                 if rec.efe_rows is None:
                     continue
                 for t, rows in enumerate(rec.efe_rows):
-                    for idx, row in enumerate(rows):
-                        cells = ",".join(fmt(v) for v in row.as_row())
-                        fh.write(f"{rec.trial_index},{t},{idx},{cells}\n")
+                    lines = efe_lines.get(id(rows))
+                    if lines is None:
+                        lines = efe_lines[id(rows)] = tuple(
+                            f"{idx},{','.join(fmt(v) for v in row.as_row())}"
+                            for idx, row in enumerate(rows)
+                        )
+                    _write_prefixed(fh, f"{rec.trial_index},{t},", lines)
 
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -242,7 +242,7 @@ def preferential_inference(model: GenerativeModel, history: History) -> Preferen
     pullback for states and softmax(obs_log_pref) for observations.
     """
     past = filter_and_smooth(model, history, policy=None)
-    state_pref, _ = pullback_preferences(model)
+    state_pref = pullback_preferences(model)
     obs_pref = model.preferences.obs_distribution()
     n_future = model.horizon - history.t
     return PreferencePosterior(

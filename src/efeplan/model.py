@@ -15,7 +15,7 @@ reporting only and never affect computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -84,20 +84,12 @@ class Transitions:
 
 @dataclass(frozen=True, eq=False)
 class LogPreferences:
-    """Unnormalized log-preferences per observation, i.i.d. across timesteps.
-
-    state_log_pref is derived (see pullback_preferences), not user input.
-    """
+    """Unnormalized log-preferences per observation, i.i.d. across timesteps."""
 
     obs_log_pref: np.ndarray
-    state_log_pref: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "obs_log_pref", _frozen_array(self.obs_log_pref))
-        if self.state_log_pref is not None:
-            object.__setattr__(
-                self, "state_log_pref", _frozen_array(self.state_log_pref)
-            )
 
     def obs_distribution(self) -> Categorical:
         """Normalized preference distribution over observations, softmax(C)."""
@@ -273,28 +265,16 @@ def validate_model(model: GenerativeModel) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def pullback_preferences(model: GenerativeModel) -> tuple[Categorical, GenerativeModel]:
+def pullback_preferences(model: GenerativeModel) -> Categorical:
     """Pull observation preferences back to states through the likelihood map.
 
     state_log_pref[s] = sum_o P(o|s) * obs_log_pref[o]; the returned state
     preference is exp(state_log_pref) normalized. Exact for deterministic
     likelihoods (each state inherits the preference of its one observation),
     and keeps the risk KL finite since every state retains positive mass.
-
-    Returns the state-preference distribution and a copy of the model with
-    state_log_pref stored.
     """
-    A = model.likelihood.matrix
-    state_log_pref = A.T @ model.preferences.obs_log_pref
-    dist = Categorical(softmax(state_log_pref))
-    stored = replace(
-        model,
-        preferences=LogPreferences(
-            obs_log_pref=model.preferences.obs_log_pref,
-            state_log_pref=state_log_pref,
-        ),
-    )
-    return dist, stored
+    state_log_pref = model.likelihood.matrix.T @ model.preferences.obs_log_pref
+    return Categorical(softmax(state_log_pref))
 
 
 def preference_obs_marginal(model: GenerativeModel) -> Categorical:
@@ -306,7 +286,7 @@ def preference_obs_marginal(model: GenerativeModel) -> Categorical:
     against which extrinsic value is scored so that the three-way objective
     decomposition is exact with a non-negative remainder.
     """
-    state_pref, _ = pullback_preferences(model)
+    state_pref = pullback_preferences(model)
     return Categorical(normalize(model.likelihood.matrix @ state_pref.probs))
 
 

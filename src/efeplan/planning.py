@@ -111,7 +111,7 @@ class _PrefContext:
     """Preference quantities shared across all policies of one model."""
 
     def __init__(self, model: GenerativeModel):
-        state_pref, _ = pullback_preferences(model)
+        state_pref = pullback_preferences(model)
         self.A = model.likelihood.matrix
         self.B = model.transitions.tensor
         self.pref_states = state_pref.probs
@@ -261,6 +261,18 @@ def trajectory_objective(
     return TrajectoryObjective(total=risk + ambiguity, risk=risk, ambiguity=ambiguity)
 
 
+def _checked_reward(model: GenerativeModel, reward_per_obs) -> np.ndarray:
+    """reward_per_obs as a float vector with one entry per observation."""
+    if reward_per_obs is None:
+        raise DimensionMismatch("reward_per_obs is required for reward objectives")
+    reward = np.asarray(reward_per_obs, dtype=float)
+    if reward.shape != (model.n_obs,):
+        raise DimensionMismatch(
+            f"reward_per_obs has shape {reward.shape}, expected ({model.n_obs},)"
+        )
+    return reward
+
+
 def alternative_objective(
     model: GenerativeModel,
     history: History,
@@ -275,16 +287,8 @@ def alternative_objective(
     EXPECTED_FREE_ENERGY returns the negated total so that every kind is
     maximized uniformly.
     """
-    needs_reward = kind in (ObjectiveKind.EXPECTED_REWARD, ObjectiveKind.REWARD_PLUS_INFO_GAIN)
-    if needs_reward:
-        if reward_per_obs is None:
-            raise DimensionMismatch("reward_per_obs is required for reward objectives")
-        reward_per_obs = np.asarray(reward_per_obs, dtype=float)
-        if reward_per_obs.shape != (model.n_obs,):
-            raise DimensionMismatch(
-                f"reward_per_obs has shape {reward_per_obs.shape}, "
-                f"expected ({model.n_obs},)"
-            )
+    if kind in (ObjectiveKind.EXPECTED_REWARD, ObjectiveKind.REWARD_PLUS_INFO_GAIN):
+        reward_per_obs = _checked_reward(model, reward_per_obs)
     breakdown = efe_breakdown(model, history, policy)
     if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
         return -breakdown.total
@@ -316,14 +320,7 @@ def policy_scores(
     elif kind is ObjectiveKind.INFO_GAIN_ONLY:
         scores = np.array([r.intrinsic for r in rows])
     else:
-        if reward_per_obs is None:
-            raise DimensionMismatch("reward_per_obs is required for reward objectives")
-        reward_per_obs = np.asarray(reward_per_obs, dtype=float)
-        if reward_per_obs.shape != (model.n_obs,):
-            raise DimensionMismatch(
-                f"reward_per_obs has shape {reward_per_obs.shape}, "
-                f"expected ({model.n_obs},)"
-            )
+        reward_per_obs = _checked_reward(model, reward_per_obs)
         ctx = _PrefContext(model)
         root = filtered_belief(model, history).probs
         cache: dict[tuple[int, ...], np.ndarray] = {(): root}

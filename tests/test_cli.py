@@ -104,6 +104,28 @@ def test_plan_unparseable_history_exit_2(tmaze_path, capsys):
     assert err.startswith("bad history:") and len(err.splitlines()) == 1
 
 
+def test_plan_well_formed_impossible_history_exit_1(tmaze_path, capsys):
+    # Every index is in range, but going middle (action 0) cannot show a cue.
+    assert main(["plan", str(tmaze_path), "--obs", "0,5", "--actions", "0"]) == 1
+    assert capsys.readouterr().err.startswith("planning failed:")
+
+
+def test_plan_mismatched_history_lengths_exit_2(tmaze_path, capsys):
+    assert main(["plan", str(tmaze_path), "--obs", "0,5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad history:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "obs, actions", [("0,5", "9"), ("0,7", "3"), ("-1", ""), ("0,5", "-1")]
+)
+def test_plan_out_of_range_history_index_exit_2(tmaze_path, capsys, obs, actions):
+    assert main(["plan", str(tmaze_path), "--obs", obs, "--actions", actions]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad history:") and "out of range" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 def test_run_writes_files_and_reruns_identically(config_path, tmp_path, capsys):
     assert main(["run", str(config_path)]) == 0
     out_dir = tmp_path / "out"

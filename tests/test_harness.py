@@ -1,11 +1,18 @@
 """Trial loop, experiment determinism, seed isolation, and CSV emission."""
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import efeplan as ep
-from efeplan import planning
+from efeplan import harness, planning
+from efeplan.data import data_path
+
+OUTPUT_FILES = ("trials.csv", "beliefs.csv", "efe.csv", "summary.json")
 
 
 def small_config(**over):
@@ -319,3 +326,115 @@ def test_efe_csv_roundtrip_precision(tmp_path):
                 parsed = by_key[(rec.trial_index, t, idx)]
                 for got, want in zip(parsed, bd.as_row()):
                     assert abs(got - want) <= 1e-10
+
+
+def reference_write_outputs(result: ep.ExperimentResult, output_dir) -> None:
+    """The per-row writer: formats every line afresh, sharing nothing."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    fmt = lambda x: harness.FLOAT_FMT % float(x)  # noqa: E731
+    with open(out / "trials.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("trial,agent,context,t,action,observation,score_so_far\n")
+        for name, agent_records in result.records.items():
+            running = 0.0
+            for rec in agent_records:
+                running += rec.score
+                for t, (a, o) in enumerate(zip(rec.actions, rec.observations[1:])):
+                    fh.write(
+                        f"{rec.trial_index},{name},{rec.context},{t},{a},{o},{fmt(running)}\n"
+                    )
+    with open(out / "beliefs.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("trial,agent,decision_time,belief_time,state,probability\n")
+        for name, agent_traces in result.traces.items():
+            for trial, trace in enumerate(agent_traces):
+                for dt, beliefs in enumerate(trace.held_at):
+                    for bt in range(len(beliefs)):
+                        probs = beliefs[bt].probs
+                        for s in range(len(probs)):
+                            fh.write(f"{trial},{name},{dt},{bt},{s},{fmt(probs[s])}\n")
+    with open(out / "efe.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("trial,t,policy_index,total,risk,ambiguity,extrinsic,intrinsic,residual\n")
+        for agent_records in result.records.values():
+            for rec in agent_records:
+                if rec.efe_rows is None:
+                    continue
+                for t, rows in enumerate(rec.efe_rows):
+                    for idx, row in enumerate(rows):
+                        cells = ",".join(fmt(v) for v in row.as_row())
+                        fh.write(f"{rec.trial_index},{t},{idx},{cells}\n")
+    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(result.summary, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def assert_outputs_match_reference(result: ep.ExperimentResult, tmp_path) -> None:
+    ep.write_outputs(result, tmp_path / "shared")
+    reference_write_outputs(result, tmp_path / "reference")
+    for name in OUTPUT_FILES:
+        got = (tmp_path / "shared" / name).read_bytes()
+        assert got == (tmp_path / "reference" / name).read_bytes(), name
+
+
+WRITER_CONFIGS = {
+    "fig2": lambda: ep.load_config(data_path("fig2.json")),
+    "four-agents-gamma-2.5": lambda: small_config(
+        agents=["efe", "reward", "info_gain", "reward_info_gain"],
+        gamma=2.5,
+        n_trials=40,
+        master_seed=31,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CONFIGS))
+def test_write_outputs_matches_per_row_reference(tmp_path, name):
+    result = ep.run_experiment(WRITER_CONFIGS[name]())
+    # The plan cache makes trials share plan objects: the case the memo serves.
+    held = [trace.held_at[0] for trace in result.traces["efe"]]
+    assert len({id(b) for b in held}) < len(held)
+    assert_outputs_match_reference(result, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CONFIGS))
+def test_write_outputs_matches_reference_without_shared_plans(tmp_path, name):
+    cfg = WRITER_CONFIGS[name]()
+    model, env, reward_per_obs = harness.build_environment(cfg)
+    records, traces = {}, {}
+    for agent_index, spec in enumerate(cfg.agents):
+        pairs = [
+            ep.run_trial(
+                model,
+                env,
+                spec.kind,
+                cfg.gamma,
+                spec.selection,
+                ep.derive_rng(cfg.master_seed, agent_index, trial),
+                reward_per_obs=reward_per_obs,
+                trial_index=trial,
+            )
+            for trial in range(cfg.n_trials)
+        ]
+        records[spec.name] = [record for record, _ in pairs]
+        traces[spec.name] = [trace for _, trace in pairs]
+    held = [trace.held_at[0] for trace in traces["efe"]]
+    assert len({id(b) for b in held}) == len(held)
+    unshared = ep.ExperimentResult(
+        config=cfg, records=records, traces=traces, summary=ep.run_experiment(cfg).summary
+    )
+    assert_outputs_match_reference(unshared, tmp_path)
+
+
+def test_write_outputs_keeps_signed_zero_rows_apart(tmp_path):
+    # Equal EFE-row tuples that print differently: a memo keyed by value
+    # would write one trial's cells for the other.
+    base = ep.run_experiment(small_config(n_trials=2, agents=["efe"]))
+    rows = [(ep.EfeBreakdown(zero, 1.0, -1.0, 0.5, zero, 0.5),) for zero in (0.0, -0.0)]
+    assert rows[0] == rows[1] and hash(rows[0]) == hash(rows[1])
+    records = [
+        dataclasses.replace(rec, efe_rows=(trial_rows,) * len(rec.efe_rows))
+        for rec, trial_rows in zip(base.records["efe"], rows)
+    ]
+    result = dataclasses.replace(base, records={"efe": records})
+    assert_outputs_match_reference(result, tmp_path)
+    lines = (tmp_path / "shared" / "efe.csv").read_text().splitlines()[1:]
+    assert lines[0].startswith("0,0,0,0,1,") and lines[-1].startswith("1,1,0,-0,1,")

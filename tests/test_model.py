@@ -110,7 +110,7 @@ def test_pullback_identity_likelihood_matches_obs_preferences():
         obs_log_pref=[1.0, -0.5, 2.0],
         horizon=1,
     )
-    state_pref, _ = ep.pullback_preferences(m)
+    state_pref = ep.pullback_preferences(m)
     expected = np.exp([1.0, -0.5, 2.0])
     expected /= expected.sum()
     assert np.allclose(state_pref.probs, expected, atol=1e-12)
@@ -125,29 +125,29 @@ def test_pullback_uniform_likelihood_is_uniform():
         obs_log_pref=[3.0, -1.0, 0.0, 2.0],
         horizon=1,
     )
-    state_pref, _ = ep.pullback_preferences(m)
+    state_pref = ep.pullback_preferences(m)
     assert np.allclose(state_pref.probs, 1 / 3, atol=1e-12)
 
 
 def test_pullback_tmaze_mass_pattern():
     # Reward-consistent arm states carry the +6 log mass, punishment-arm
     # states -6, all neutral locations 0.
-    state_pref, stored = ep.pullback_preferences(ep.tmaze_model())
-    slp = stored.preferences.state_log_pref
+    state_pref = ep.pullback_preferences(ep.tmaze_model())
     # state order: (loc, ctx) with s = 2*loc + ctx
-    expected_logs = np.array([0.0, 0.0, 6.0, -6.0, -6.0, 6.0, 0.0, 0.0])
-    assert np.allclose(slp, expected_logs, atol=1e-12)
-    z = np.exp(expected_logs).sum()
-    assert np.allclose(state_pref.probs, np.exp(expected_logs) / z, atol=1e-12)
+    slp = np.array([0.0, 0.0, 6.0, -6.0, -6.0, 6.0, 0.0, 0.0])
+    log_p = np.log(state_pref.probs)
+    assert np.allclose(log_p - log_p[0], slp - slp[0], atol=1e-12)
+    z = np.exp(slp).sum()
+    assert np.allclose(state_pref.probs, np.exp(slp) / z, atol=1e-12)
 
 
 def test_pullback_deterministic_likelihood_inherits_unique_obs_pref(rng):
     for _ in range(20):
         m = random_model(rng, deterministic_likelihood=True)
-        _, stored = ep.pullback_preferences(m)
+        log_p = np.log(ep.pullback_preferences(m).probs)
         emit = m.likelihood.matrix.argmax(axis=0)
-        expected = m.preferences.obs_log_pref[emit]
-        assert np.allclose(stored.preferences.state_log_pref, expected, atol=1e-12)
+        slp = m.preferences.obs_log_pref[emit]
+        assert np.allclose(log_p - log_p[0], slp - slp[0], atol=1e-12)
 
 
 def test_obs_preference_shift_invariance(rng):
@@ -164,8 +164,8 @@ def test_obs_preference_shift_invariance(rng):
         assert np.allclose(
             shifted.preferences.obs_distribution().probs, base, atol=1e-10
         )
-        p0, _ = ep.pullback_preferences(m)
-        p1, _ = ep.pullback_preferences(shifted)
+        p0 = ep.pullback_preferences(m)
+        p1 = ep.pullback_preferences(shifted)
         assert np.allclose(p0.probs, p1.probs, atol=1e-10)
 
 

@@ -72,7 +72,7 @@ def test_residual_matches_direct_preference_posterior_form(rng):
         bd = ep.efe_breakdown(model, history, policy)
 
         A = model.likelihood.matrix
-        pref_states, _ = pullback_preferences(model)
+        pref_states = pullback_preferences(model)
         m_obs = preference_obs_marginal(model).probs
         beliefs = ep.filter_and_smooth(model, history, policy)
         direct = 0.0
