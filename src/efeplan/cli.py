@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    FLOAT_FMT,
     ConfigError,
     build_environment,
     derive_rng,
@@ -28,8 +29,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
-FLOAT_FMT = "%.12g"
-
 
 def _parse_index_list(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -41,11 +40,16 @@ def _parse_index_list(text: str) -> tuple[int, ...]:
 def _parse_history(model, obs_text: str, actions_text: str) -> History:
     """The --obs/--actions history; ValueError if it is malformed for the model.
 
-    Malformed means not integers, lengths that do not pair up, or an index
-    outside the model's observations or actions. A well-formed history the
-    model cannot produce is left to planning.
+    Malformed means not integers, lengths that do not pair up, more actions
+    than the model's horizon, or an index outside the model's observations or
+    actions. A well-formed history the model cannot produce, or one that
+    leaves no decision, is left to planning.
     """
     history = History(_parse_index_list(obs_text), _parse_index_list(actions_text))
+    if history.t > model.horizon:
+        raise ValueError(
+            f"{history.t} actions exceed the model's horizon {model.horizon}"
+        )
     for name, indices, count in (
         ("observation", history.observations, model.n_obs),
         ("action", history.actions, model.n_actions),

@@ -12,6 +12,7 @@ environment and the agent's generative model.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,12 @@ class TMazeParams:
         unknown = set(overrides) - known
         if unknown:
             raise ValueError(f"unknown T-maze overrides: {sorted(unknown)}")
+        for key, value in overrides.items():
+            finite = type(value) is float and math.isfinite(value)
+            if type(value) is not int and not finite:
+                raise ValueError(
+                    f"T-maze override {key} must be a finite number, got {value!r}"
+                )
         return TMazeParams(**overrides)
 
 

@@ -53,10 +53,6 @@ class MarginalBeliefs:
     def __getitem__(self, t: int) -> Categorical:
         return self.per_time[t]
 
-    def array(self) -> np.ndarray:
-        """Stack into a (timesteps, states) matrix."""
-        return np.stack([c.probs for c in self.per_time])
-
 
 @dataclass(frozen=True, eq=False)
 class StateTrajectoryPosterior:

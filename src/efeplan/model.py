@@ -251,6 +251,20 @@ def validate_model(model: GenerativeModel) -> ValidationReport:
                 f"expected shape {(model.n_obs,)}",
             )
         )
+    for name, labels, count in (
+        ("state_labels", model.state_labels, model.n_states),
+        ("obs_labels", model.obs_labels, model.n_obs),
+        ("action_labels", model.action_labels, model.n_actions),
+    ):
+        if labels is not None and len(labels) != count:
+            out.append(
+                Violation(
+                    "DimensionMismatch",
+                    name,
+                    (len(labels),),
+                    f"expected {count} labels",
+                )
+            )
     if out:
         return ValidationReport(tuple(out))
 
@@ -366,6 +380,13 @@ def model_from_dict(doc: dict) -> GenerativeModel:
     missing = [k for k in required if k not in doc]
     if missing:
         raise ModelFormatError(f"missing fields: {', '.join(missing)}")
+    for key in ("n_states", "n_obs", "n_actions", "horizon"):
+        if type(doc[key]) is not int:
+            raise ModelFormatError(f"{key} must be an integer, got {doc[key]!r}")
+    for key in ("state_labels", "obs_labels", "action_labels"):
+        labels = doc.get(key, [])
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ModelFormatError(f"{key} must be a list of strings")
     try:
         A = np.array(doc["likelihood"], dtype=float)
         B = np.array(doc["transitions"], dtype=float)

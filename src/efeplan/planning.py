@@ -121,11 +121,15 @@ class _PrefContext:
         self.col_entropy = column_entropies(self.A)
 
 
-def _step_terms(ctx: _PrefContext, q: np.ndarray) -> tuple[float, float, float, float]:
-    """(risk, ambiguity, extrinsic, intrinsic) for one predictive state marginal."""
+def _step_terms(
+    ctx: _PrefContext, q: np.ndarray, qo: np.ndarray
+) -> tuple[float, float, float, float]:
+    """(risk, ambiguity, extrinsic, intrinsic) for one predictive state marginal.
+
+    qo is the predictive observation marginal A @ q.
+    """
     risk = kl_divergence(q, ctx.pref_states)
     ambiguity = float(q @ ctx.col_entropy)
-    qo = ctx.A @ q
     mask = qo > 0
     extrinsic = float(np.sum(qo[mask] * ctx.ln_obs_marginal[mask]))
     # E_o[KL(q(s|o) || q(s))] collapses to the mutual information I(s;o):
@@ -148,11 +152,6 @@ def _breakdown_from_terms(terms) -> EfeBreakdown:
         intrinsic=intrinsic,
         residual=total + extrinsic + intrinsic,
     )
-
-
-def filtered_belief(model: GenerativeModel, history: History) -> Categorical:
-    """Posterior over the current state given the observed prefix."""
-    return filter_and_smooth(model, history).per_time[history.t]
 
 
 def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> EfeBreakdown:
@@ -193,36 +192,53 @@ def enumerate_policies(
     return tuple(Policy(seq) for seq in itertools.product(range(n_actions), repeat=length))
 
 
-def efe_table(
-    model: GenerativeModel,
-    history: History,
-    policies: tuple[Policy, ...] | None = None,
-    cap: int = POLICY_CAP,
-) -> tuple[tuple[Policy, ...], list[EfeBreakdown]]:
+def _policy_tree(
+    model: GenerativeModel, history: History, reward: np.ndarray | None = None
+) -> tuple[tuple[Policy, ...], list[EfeBreakdown], np.ndarray | None]:
     """Breakdowns for every remaining policy, sharing work across common prefixes.
 
     Predictive marginals for timesteps past t equal the filtered belief pushed
     through the transition tensor, so the whole policy tree is evaluated with
     one matrix-vector product and one set of per-step terms per tree node.
+    Given a per-observation reward vector, each node also scores its expected
+    reward, and each policy's path sum is returned as the third value.
     """
-    if policies is None:
-        policies = enumerate_policies(model.n_actions, model.horizon - history.t, cap)
+    policies = enumerate_policies(model.n_actions, model.horizon - history.t)
     ctx = _PrefContext(model)
-    root = filtered_belief(model, history).probs
+    root = filter_and_smooth(model, history).per_time[history.t].probs
+    scoring = reward is not None
     belief_cache: dict[tuple[int, ...], np.ndarray] = {(): root}
     term_cache: dict[tuple[int, ...], tuple[float, float, float, float]] = {}
+    reward_cache: dict[tuple[int, ...], float] = {}
+    rewards = np.empty(len(policies)) if scoring else None
     rows = []
-    for policy in policies:
+    for i, policy in enumerate(policies):
         prefix: tuple[int, ...] = ()
         terms = []
+        acc = 0.0
         for a in policy.actions:
             parent = belief_cache[prefix]
             prefix = prefix + (a,)
             if prefix not in belief_cache:
-                belief_cache[prefix] = ctx.B[a] @ parent
-                term_cache[prefix] = _step_terms(ctx, belief_cache[prefix])
+                q = belief_cache[prefix] = ctx.B[a] @ parent
+                qo = ctx.A @ q
+                term_cache[prefix] = _step_terms(ctx, q, qo)
+                if scoring:
+                    reward_cache[prefix] = float(reward @ qo)
             terms.append(term_cache[prefix])
+            if scoring:
+                acc += reward_cache[prefix]
         rows.append(_breakdown_from_terms(terms))
+        if scoring:
+            rewards[i] = acc
+    return policies, rows, rewards
+
+
+def efe_table(
+    model: GenerativeModel, history: History
+) -> tuple[tuple[Policy, ...], list[EfeBreakdown]]:
+    """Breakdowns for every remaining policy, in lexicographic policy order."""
+    policies, rows, _ = _policy_tree(model, history)
     return policies, rows
 
 
@@ -311,34 +327,18 @@ def policy_scores(
     history: History,
     kind: ObjectiveKind,
     reward_per_obs: np.ndarray | None = None,
-    cap: int = POLICY_CAP,
 ) -> tuple[tuple[Policy, ...], np.ndarray, list[EfeBreakdown]]:
     """Maximization scores for every remaining policy, plus their breakdowns."""
-    policies, rows = efe_table(model, history, cap=cap)
     if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
-        scores = np.array([-r.total for r in rows])
-    elif kind is ObjectiveKind.INFO_GAIN_ONLY:
-        scores = np.array([r.intrinsic for r in rows])
-    else:
-        reward_per_obs = _checked_reward(model, reward_per_obs)
-        ctx = _PrefContext(model)
-        root = filtered_belief(model, history).probs
-        cache: dict[tuple[int, ...], np.ndarray] = {(): root}
-        reward_cache: dict[tuple[int, ...], float] = {}
-        scores = np.empty(len(policies))
-        for i, policy in enumerate(policies):
-            prefix: tuple[int, ...] = ()
-            acc = 0.0
-            for a in policy.actions:
-                parent = cache[prefix]
-                prefix = prefix + (a,)
-                if prefix not in cache:
-                    cache[prefix] = ctx.B[a] @ parent
-                    reward_cache[prefix] = float(reward_per_obs @ (ctx.A @ cache[prefix]))
-                acc += reward_cache[prefix]
-            scores[i] = acc
-        if kind is ObjectiveKind.REWARD_PLUS_INFO_GAIN:
-            scores = scores + np.array([r.intrinsic for r in rows])
+        policies, rows = efe_table(model, history)
+        return policies, np.array([-r.total for r in rows]), rows
+    if kind is ObjectiveKind.INFO_GAIN_ONLY:
+        policies, rows = efe_table(model, history)
+        return policies, np.array([r.intrinsic for r in rows]), rows
+    reward = _checked_reward(model, reward_per_obs)
+    policies, rows, scores = _policy_tree(model, history, reward)
+    if kind is ObjectiveKind.REWARD_PLUS_INFO_GAIN:
+        scores = scores + np.array([r.intrinsic for r in rows])
     return policies, scores, rows
 
 
@@ -348,7 +348,6 @@ def policy_posterior(
     gamma: float = 1.0,
     kind: ObjectiveKind = ObjectiveKind.EXPECTED_FREE_ENERGY,
     reward_per_obs: np.ndarray | None = None,
-    cap: int = POLICY_CAP,
 ) -> PolicyPosterior:
     """Softmax posterior over all remaining policies.
 
@@ -357,7 +356,7 @@ def policy_posterior(
     is exposed as an explicit precision generalization. Comparison objectives
     use exp(+gamma * score) so the maximizer is always the mode.
     """
-    return _scored_posterior(model, history, gamma, kind, reward_per_obs, cap)[0]
+    return _scored_posterior(model, history, gamma, kind, reward_per_obs)[0]
 
 
 def _scored_posterior(
@@ -366,14 +365,13 @@ def _scored_posterior(
     gamma: float,
     kind: ObjectiveKind = ObjectiveKind.EXPECTED_FREE_ENERGY,
     reward_per_obs: np.ndarray | None = None,
-    cap: int = POLICY_CAP,
 ) -> tuple[PolicyPosterior, list[EfeBreakdown]]:
     """policy_posterior plus the EFE breakdowns its single tree pass scored."""
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     if model.horizon - history.t < 1:
         raise ValueError("no decisions remain at this history")
-    policies, scores, rows = policy_scores(model, history, kind, reward_per_obs, cap)
+    policies, scores, rows = policy_scores(model, history, kind, reward_per_obs)
     log_weights = gamma * scores
     posterior = PolicyPosterior(
         policies=policies,
@@ -383,12 +381,10 @@ def _scored_posterior(
     return posterior, rows
 
 
-def action_marginal(posterior: PolicyPosterior, n_actions: int | None = None) -> Categorical:
+def action_marginal(posterior: PolicyPosterior, n_actions: int) -> Categorical:
     """Marginalize the policy posterior onto the next action."""
     if not posterior.policies:
         raise ValueError("empty policy posterior")
-    if n_actions is None:
-        n_actions = max(p.actions[0] for p in posterior.policies) + 1
     marginal = np.zeros(n_actions)
     for policy, prob in zip(posterior.policies, posterior.probs.probs):
         marginal[policy.actions[0]] += prob

@@ -126,6 +126,75 @@ def test_plan_out_of_range_history_index_exit_2(tmaze_path, capsys, obs, actions
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
+def test_plan_history_beyond_horizon_exit_2(tmaze_path, capsys):
+    # three actions on a horizon-2 model is malformed, not a planning failure
+    args = ["plan", str(tmaze_path), "--obs", "0,1,1,1", "--actions", "1,1,1"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad history:") and "horizon" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_plan_history_at_horizon_exit_1(tmaze_path, capsys):
+    # a complete trial is well formed but leaves no decision to plan
+    assert main(["plan", str(tmaze_path), "--obs", "0,1,1", "--actions", "1,1"]) == 1
+    assert capsys.readouterr().err.startswith("planning failed:")
+
+
+def write_tmaze_doc(tmp_path, **changes):
+    doc = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))
+    doc.update(changes)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_states", "8"), ("n_obs", 7.0), ("n_actions", True), ("horizon", "x")],
+)
+def test_validate_non_integer_dimension_exit_2(tmp_path, capsys, field, value):
+    assert main(["validate", str(write_tmaze_doc(tmp_path, **{field: value}))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse failure:") and field in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("obs_labels", 5), ("state_labels", ["a", 1]), ("action_labels", "abcd")],
+)
+def test_validate_malformed_label_field_exit_2(tmp_path, capsys, field, value):
+    assert main(["validate", str(write_tmaze_doc(tmp_path, **{field: value}))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse failure:") and field in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("field", ["state_labels", "obs_labels", "action_labels"])
+def test_validate_label_table_wrong_length_exit_1(tmp_path, capsys, field):
+    path = write_tmaze_doc(tmp_path, **{field: ["a", "b", "c"]})
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"DimensionMismatch in {field}" in captured.err and captured.out == ""
+
+
+def test_run_non_numeric_override_exit_1(tmp_path, capsys):
+    doc = {
+        "environment": {"name": "tmaze", "overrides": {"punishment": "abc"}},
+        "agents": ["efe"],
+        "n_trials": 2,
+        "master_seed": 3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "punishment" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "trials.csv").exists()
+
+
 def test_run_writes_files_and_reruns_identically(config_path, tmp_path, capsys):
     assert main(["run", str(config_path)]) == 0
     out_dir = tmp_path / "out"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import efeplan as ep
+from efeplan import envs
 from efeplan.envs import (
     ACTION_LABELS,
     CUE_OBS,
@@ -155,8 +156,21 @@ def test_param_overrides():
     model = ep.tmaze_model(params)
     assert model.preferences.obs_log_pref[OBS_LEFT_REWARD] == 3.0
     assert ep.score_trajectory([0, 5, 1], [3, 1], params) == 2.0
+    assert TMazeParams.from_overrides({"punishment": -4}).punishment == -4
     with pytest.raises(ValueError, match="unknown T-maze overrides"):
         TMazeParams.from_overrides({"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "value", ["abc", "5", True, None, [1.0], float("nan"), float("inf")]
+)
+def test_overrides_must_be_finite_numbers(monkeypatch, value):
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built before the overrides were checked")
+
+    monkeypatch.setattr(envs, "tmaze_model", no_model)
+    with pytest.raises(ValueError, match="cue_reward"):
+        ep.make_environment("tmaze", {"reward_log_pref": 3, "cue_reward": value})
 
 
 def test_make_environment_registry():

@@ -44,6 +44,11 @@ def records_equal(a: ep.TrialRecord, b: ep.TrialRecord) -> bool:
     return True
 
 
+def stacked(beliefs: ep.MarginalBeliefs) -> np.ndarray:
+    """Per-timestep beliefs as one (timesteps, states) matrix."""
+    return np.stack([c.probs for c in beliefs.per_time])
+
+
 def test_trial_record_shapes():
     model, env = ep.make_environment("tmaze")
     record, trace = ep.run_trial(
@@ -192,7 +197,7 @@ def test_experiment_records_match_fresh_trials():
             assert records_equal(cached, fresh)
             held = result.traces[spec.name][trial].held_at
             for a, b in zip(held, trace.held_at):
-                assert np.array_equal(a.array(), b.array())
+                assert np.array_equal(stacked(a), stacked(b))
 
 
 def test_cached_arrays_are_read_only():
@@ -217,13 +222,15 @@ def test_greedy_plan_starts_with_executed_action():
         ep.derive_rng(2026, 0, 0),
     )
     first = ep.History(record.observations[:1], ())
-    held = trace.held_at[0].array()
+    held = stacked(trace.held_at[0])
     matching = [
         second
         for second in range(model.n_actions)
         if np.array_equal(
             held,
-            ep.filter_and_smooth(model, first, ep.Policy((record.actions[0], second))).array(),
+            stacked(
+                ep.filter_and_smooth(model, first, ep.Policy((record.actions[0], second)))
+            ),
         )
     ]
     assert record.actions == (0, 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import efeplan as ep
+from efeplan import planning
 from efeplan.maths import kl_divergence, softmax
 from efeplan.model import preference_obs_marginal, pullback_preferences
 
@@ -220,10 +221,31 @@ def test_gamma_scaling_preserves_argmax(rng):
     assert done >= 10
 
 
-def test_policy_space_cap():
-    model = ep.tmaze_model()
-    with pytest.raises(ep.PolicySpaceOverflow):
-        ep.policy_posterior(model, ep.History((0,), ()), cap=4)
+def test_policy_space_cap(monkeypatch):
+    # the T-maze tensors at horizon 10 have 4^10 > POLICY_CAP policies; the
+    # overflow is raised before any inference runs
+    tmaze = ep.tmaze_model()
+    model = ep.make_model(
+        likelihood=tmaze.likelihood.matrix,
+        transitions=tmaze.transitions.tensor,
+        initial_belief=tmaze.initial_belief.probs,
+        obs_log_pref=tmaze.preferences.obs_log_pref,
+        horizon=10,
+    )
+    assert model.n_actions**model.horizon > planning.POLICY_CAP
+
+    def no_filtering(*args, **kwargs):
+        raise AssertionError("filter_and_smooth called before the cap check")
+
+    monkeypatch.setattr(planning, "filter_and_smooth", no_filtering)
+    for kind in ep.ObjectiveKind:
+        with pytest.raises(ep.PolicySpaceOverflow):
+            ep.policy_posterior(
+                model,
+                ep.History((0,), ()),
+                kind=kind,
+                reward_per_obs=model.preferences.obs_log_pref,
+            )
 
 
 def test_action_marginal_single_policy_dirac():
@@ -355,3 +377,96 @@ def test_reward_vector_dimension_mismatch():
         ep.policy_posterior(
             model, history, kind=ep.ObjectiveKind.EXPECTED_REWARD, reward_per_obs=np.zeros(3)
         )
+
+
+# --- one policy-tree pass per decision -----------------------------------------
+
+def reference_reward_scores(model, history, reward):
+    """Expected-reward path sums from a prefix walk of their own.
+
+    Each tree node scores reward @ (A @ q) for its predictive state marginal q,
+    and each policy sums its nodes with a running += from 0.0.
+    """
+    A, B = model.likelihood.matrix, model.transitions.tensor
+    root = ep.filter_and_smooth(model, history).per_time[history.t].probs
+    policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
+    cache = {(): root}
+    node_reward = {}
+    scores = np.empty(len(policies))
+    for i, policy in enumerate(policies):
+        prefix = ()
+        acc = 0.0
+        for a in policy.actions:
+            parent = cache[prefix]
+            prefix = prefix + (a,)
+            if prefix not in cache:
+                cache[prefix] = B[a] @ parent
+                node_reward[prefix] = float(reward @ (A @ cache[prefix]))
+            acc += node_reward[prefix]
+        scores[i] = acc
+    return scores
+
+
+@pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
+def test_policy_scores_filters_and_pulls_back_once(monkeypatch, kind):
+    calls = {"pullback_preferences": 0, "filter_and_smooth": 0}
+    for name in calls:
+        original = getattr(planning, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(planning, name, counted)
+    model = ep.tmaze_model()
+    planning.policy_scores(
+        model, ep.History((0,), ()), kind, model.preferences.obs_log_pref
+    )
+    assert calls == {"pullback_preferences": 1, "filter_and_smooth": 1}
+
+
+def test_policy_scores_match_per_policy_oracles(rng):
+    kinds = ep.ObjectiveKind
+    for _ in range(20):
+        model = random_model(rng)
+        history = simulate_history(rng, model)
+        reward = rng.normal(size=model.n_obs)
+        scores = {
+            kind: planning.policy_scores(model, history, kind, reward)[1]
+            for kind in kinds
+        }
+        policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
+        for i, policy in enumerate(policies):
+            bd = ep.efe_breakdown(model, history, policy)
+            er = ep.alternative_objective(
+                model, history, policy, kinds.EXPECTED_REWARD, reward
+            )
+            expected = {
+                kinds.EXPECTED_FREE_ENERGY: -bd.total,
+                kinds.INFO_GAIN_ONLY: bd.intrinsic,
+                kinds.EXPECTED_REWARD: er,
+                kinds.REWARD_PLUS_INFO_GAIN: er + bd.intrinsic,
+            }
+            for kind, want in expected.items():
+                assert scores[kind][i] == pytest.approx(want, abs=1e-10)
+
+
+def test_reward_scores_equal_reference_walk(rng):
+    tmaze = ep.tmaze_model()
+    cases = [(tmaze, ep.History((0,), ())), (tmaze, ep.History((0, 5), (3,)))]
+    for _ in range(20):
+        model = random_model(rng)
+        cases.append((model, simulate_history(rng, model)))
+    for model, history in cases:
+        reward = rng.normal(size=model.n_obs)
+        reference = reference_reward_scores(model, history, reward)
+        _, rows = ep.efe_table(model, history)
+        _, scores, reward_rows = planning.policy_scores(
+            model, history, ep.ObjectiveKind.EXPECTED_REWARD, reward
+        )
+        assert np.array_equal(scores, reference)
+        assert [r.as_row() for r in reward_rows] == [r.as_row() for r in rows]
+        _, both, _ = planning.policy_scores(
+            model, history, ep.ObjectiveKind.REWARD_PLUS_INFO_GAIN, reward
+        )
+        assert np.array_equal(both, reference + np.array([r.intrinsic for r in rows]))
