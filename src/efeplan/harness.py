@@ -15,6 +15,7 @@ revisit a history share the cached, read-only arrays.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,10 +76,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be >= 1")
-        if not self.gamma > 0:
-            raise ConfigError("gamma must be > 0")
+        # JSON integers only: a bool, a float such as 2.7 or an inf is refused.
+        for name, minimum in (("n_trials", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < minimum:
+                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        # int/float comparisons are exact, so an int too large for a float fails here.
+        if type(self.gamma) not in (int, float) or not 0 < self.gamma <= sys.float_info.max:
+            raise ConfigError(f"gamma must be a finite number > 0, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))
         if not self.agents:
             raise ConfigError("at least one agent is required")
 
@@ -125,9 +131,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             environment=env["name"],
             env_overrides=env.get("overrides", {}),
             agents=tuple(agents),
-            gamma=float(doc.get("gamma", 1.0)),
-            n_trials=int(doc.get("n_trials", 1)),
-            master_seed=int(doc.get("master_seed", 0)),
+            gamma=doc.get("gamma", 1.0),
+            n_trials=doc.get("n_trials", 1),
+            master_seed=doc.get("master_seed", 0),
             reward_per_obs=tuple(float(r) for r in reward) if reward is not None else None,
             output_dir=doc.get("output_dir"),
         )

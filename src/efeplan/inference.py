@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maths import logsumexp, safe_log, softmax
+from .maths import logsumexp, safe_log
 from .model import Categorical, GenerativeModel, History, Policy, pullback_preferences
 
 ENUMERATION_CAP = 10**7
@@ -166,13 +166,13 @@ def filter_and_smooth(
     logB = safe_log(model.transitions.tensor)
 
     # Forward pass, renormalizing each step to keep magnitudes bounded.
-    alphas = []
+    alphas = np.empty((L, model.n_states))
     la = safe_log(model.initial_belief.probs) + logA[history.observations[0]]
     norm = logsumexp(la)
     if not np.isfinite(norm):
         raise ZeroEvidence(0, history.observations[0])
     la = la - norm
-    alphas.append(la)
+    alphas[0] = la
     for tau in range(1, L):
         la = logsumexp(logB[actions[tau - 1]] + la[np.newaxis, :], axis=1)
         if tau < n_obs_steps:
@@ -181,22 +181,20 @@ def filter_and_smooth(
             if not np.isfinite(norm):
                 raise ZeroEvidence(tau, history.observations[tau])
             la = la - norm
-        alphas.append(la)
+        alphas[tau] = la
 
     # Backward pass; steps without evidence contribute nothing beyond dynamics.
-    lb = np.zeros(model.n_states)
-    betas = [lb]
+    betas = np.zeros((L, model.n_states))
     for tau in range(L - 2, -1, -1):
-        msg = logB[actions[tau]] + lb[:, np.newaxis]
+        msg = logB[actions[tau]] + betas[tau + 1][:, np.newaxis]
         if tau + 1 < n_obs_steps:
             msg = msg + logA[history.observations[tau + 1]][:, np.newaxis]
-        lb = logsumexp(msg, axis=0)
-        betas.append(lb)
-    betas.reverse()
+        betas[tau] = logsumexp(msg, axis=0)
 
-    marginals = tuple(
-        Categorical(softmax(alphas[tau] + betas[tau])) for tau in range(L)
-    )
+    # Row-wise softmax of alpha + beta: the per-row arithmetic of maths.softmax.
+    z = alphas + betas
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    marginals = tuple(Categorical(row) for row in e / e.sum(axis=1, keepdims=True))
     return MarginalBeliefs(marginals)
 
 

@@ -18,21 +18,28 @@ def normalize(x: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of a finite logit vector."""
     z = np.asarray(logits, dtype=float)
-    z = z - z.max()
-    e = np.exp(z)
+    e = np.exp(z - z.max())
     return e / e.sum()
 
 
 def logsumexp(x: np.ndarray, axis=None) -> np.ndarray:
-    """log(sum(exp(x))) tolerating -inf entries (zero probabilities)."""
+    """log(sum(exp(x))) tolerating -inf entries (zero probabilities).
+
+    When every maximum is finite, each sum contains exp(0) = 1, so log never
+    sees 0 and the warning guard is skipped.
+    """
     x = np.asarray(x, dtype=float)
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
+    m = x.max(axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    if finite.all():
+        out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
+    else:  # an all -inf slice sums to 0, and its log is -inf
+        m = np.where(finite, m, 0.0)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
     if axis is None:
         return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+    return out.squeeze(axis=axis)
 
 
 def safe_log(x: np.ndarray) -> np.ndarray:
@@ -67,4 +74,4 @@ def column_entropies(matrix: np.ndarray) -> np.ndarray:
 
 def is_distribution(p: np.ndarray, atol: float = NORM_ATOL) -> bool:
     p = np.asarray(p, dtype=float)
-    return bool(np.all(p >= 0) and abs(p.sum() - 1.0) <= atol)
+    return bool((p >= 0).all() and abs(p.sum() - 1.0) <= atol)

@@ -169,10 +169,10 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.ok:
             return "Ok"
-        lines = [f"{len(self.violations)} violation(s):"]
-        for v in self.violations:
-            lines.append(f"  {v.rule} in {v.tensor} at {v.index}: {v.message}")
-        return "\n".join(lines)
+        found = "; ".join(
+            f"{v.rule} in {v.tensor} at {v.index}: {v.message}" for v in self.violations
+        )
+        return f"{len(self.violations)} violation(s): {found}"
 
 
 def _check_finite(name: str, arr: np.ndarray, out: list[Violation]) -> bool:

@@ -31,7 +31,12 @@ from enum import Enum
 
 import numpy as np
 
-from .inference import enumerate_posterior, filter_and_smooth
+from .inference import (
+    conditional_state_posterior,
+    enumerate_posterior,
+    filter_and_smooth,
+    predictive_observations,
+)
 from .maths import column_entropies, kl_divergence, safe_log, softmax
 from .model import Categorical, GenerativeModel, History, Policy, pullback_preferences
 
@@ -158,24 +163,26 @@ def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> E
     """Evaluate one policy's expected free energy and its decompositions.
 
     Reference (single-policy) route: predictive marginals come from the full
-    forward-backward pass, and intrinsic value is accumulated observation by
-    observation as an expected Bayesian update divergence.
+    forward-backward pass and `predictive_observations`, and intrinsic value is
+    accumulated observation by observation as the divergence of each
+    `conditional_state_posterior` Bayes update.
     """
     ctx = _PrefContext(model)
     beliefs = filter_and_smooth(model, history, policy)
+    obs_marginals = predictive_observations(model, beliefs)
     t = history.t
     terms = []
     for tau in range(t + 1, len(beliefs)):
         q = beliefs[tau].probs
         risk = kl_divergence(q, ctx.pref_states)
         ambiguity = float(q @ ctx.col_entropy)
-        qo = ctx.A @ q
+        qo = obs_marginals[tau].probs
         mask = qo > 0
         extrinsic = float(np.sum(qo[mask] * ctx.ln_obs_marginal[mask]))
         intrinsic = 0.0
         for o in np.nonzero(mask)[0]:
-            posterior = ctx.A[o] * q / qo[o]
-            intrinsic += qo[o] * kl_divergence(posterior, q)
+            posterior = conditional_state_posterior(model, beliefs, tau, int(o))
+            intrinsic += qo[o] * kl_divergence(posterior.probs, q)
         terms.append((risk, ambiguity, extrinsic, intrinsic))
     return _breakdown_from_terms(terms)
 

@@ -179,6 +179,28 @@ def test_validate_label_table_wrong_length_exit_1(tmp_path, capsys, field):
     assert f"DimensionMismatch in {field}" in captured.err and captured.out == ""
 
 
+def _bad_likelihood_columns():
+    likelihood = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))["likelihood"]
+    likelihood[0][0] = 0.9  # column 0 now sums to 0.9
+    likelihood[0][1] = 0.8  # column 1 now sums to 0.8
+    return likelihood
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+@pytest.mark.parametrize(
+    "changes, expected",
+    [
+        ({"state_labels": ["a", "b", "c"]}, "1 violation(s): DimensionMismatch in state_labels"),
+        ({"likelihood": _bad_likelihood_columns()}, "2 violation(s): NotStochastic"),
+    ],
+)
+def test_validation_report_is_one_line_exit_1(tmp_path, capsys, command, changes, expected):
+    assert main([command, str(write_tmaze_doc(tmp_path, **changes))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(expected) and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_run_non_numeric_override_exit_1(tmp_path, capsys):
     doc = {
         "environment": {"name": "tmaze", "overrides": {"punishment": "abc"}},
@@ -258,6 +280,30 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "config failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("n_trials", "1e400"),
+        ("master_seed", "1e400"),
+        ("gamma", "1e400"),
+        ("master_seed", "-3"),
+        ("n_trials", "2.7"),
+    ],
+)
+def test_run_bad_numeric_config_field_exit_2(tmp_path, capsys, field, text):
+    doc = json.loads(data_path("fig2.json").read_text(encoding="utf-8"))
+    doc.update(n_trials=2, output_dir=str(tmp_path / "out"))
+    doc[field] = "VALUE"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"VALUE"', text), encoding="utf-8")
+    for argv in (["run", str(path)], ["trace", str(path), "0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config failure: {field} must be")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_unknown_environment_exit_1(tmp_path, capsys):
