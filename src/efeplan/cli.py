@@ -8,6 +8,7 @@ variable honored is EFEPLAN_OUTPUT_DIR, which overrides the output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,6 +80,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if not 0 <= args.gamma < math.inf:  # NaN fails every comparison
+        print(f"bad gamma: {args.gamma!r} is not a finite number >= 0", file=sys.stderr)
+        return EXIT_PARSE
     try:
         model = load_model(args.model)
     except (ModelFormatError, OSError) as exc:

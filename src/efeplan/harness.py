@@ -10,7 +10,8 @@ reruns are byte-identical.
 Everything a decision derives from its history before the RNG draw is a pure
 function of (model, history, kind, gamma, reward), so an experiment builds its
 model once and plans each distinct history of an agent once; trials that
-revisit a history share the cached, read-only arrays.
+revisit a history share the cached, read-only arrays. Likewise each distinct
+final history is smoothed and scored once.
 """
 from __future__ import annotations
 
@@ -87,6 +88,12 @@ class ExperimentConfig:
         object.__setattr__(self, "gamma", float(self.gamma))
         if not self.agents:
             raise ConfigError("at least one agent is required")
+        # Records and summaries are keyed by kind, so a repeated kind would
+        # overwrite an earlier agent's trials.
+        names = [spec.name for spec in self.agents]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"agent kind listed more than once: {', '.join(repeated)}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -190,28 +197,44 @@ class _Plan:
 
     policy_probs: np.ndarray
     marginal: Categorical
+    argmax: int  # the action argmax selection takes from marginal
     efe_rows: tuple[EfeBreakdown, ...]
     held_at: MarginalBeliefs  # predictive under the greedy plan
 
 
-class PlanCache:
-    """Plans and post-trial posteriors of one agent, keyed by history.
+@dataclass(frozen=True, eq=False)
+class _Outcome:
+    """What a trial derives from its final history: the smoothed posterior and the score."""
 
-    Valid for a single (model, kind, gamma, reward_per_obs); run_experiment
-    keeps one per agent for the length of the experiment.
+    smoothed: MarginalBeliefs
+    score: float
+
+
+# A history as the trial loop holds it: (observations o_0..o_t, actions a_1..a_t).
+_HistoryKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class PlanCache:
+    """Plans and trial outcomes of one agent, keyed by raw history tuples.
+
+    A `History` is built only when a key is missed. Valid for a single
+    (model, environment, kind, gamma, reward_per_obs); run_experiment keeps
+    one per agent for the length of the experiment.
     """
 
     def __init__(self):
-        self.plans: dict[History, _Plan] = {}
-        self.smoothed: dict[History, MarginalBeliefs] = {}
+        self.plans: dict[_HistoryKey, _Plan] = {}
+        self.outcomes: dict[_HistoryKey, _Outcome] = {}
 
 
 def _plan(model, history, kind, gamma, reward_per_obs) -> _Plan:
     posterior, rows = _scored_posterior(model, history, gamma, kind, reward_per_obs)
     greedy = posterior.policies[_tied_argmax(posterior.probs.probs)]
+    marginal = action_marginal(posterior, model.n_actions)
     return _Plan(
         policy_probs=posterior.probs.probs,
-        marginal=action_marginal(posterior, model.n_actions),
+        marginal=marginal,
+        argmax=select_action(marginal, SelectionMode.ARGMAX),
         efe_rows=tuple(rows),
         held_at=filter_and_smooth(model, history, greedy),
     )
@@ -231,7 +254,8 @@ def run_trial(
     """Run one receding-horizon episode of the given agent against the environment.
 
     A cache shared across calls must only be shared by calls with the same
-    model, kind, gamma and reward_per_obs.
+    model, environment, kind, gamma and reward_per_obs: it holds each final
+    history's score as well as its plans.
     """
     if reward_per_obs is None:
         reward_per_obs = model.preferences.obs_log_pref
@@ -245,12 +269,17 @@ def run_trial(
     try:
         done = False
         while not done:
-            history = History(tuple(observations), tuple(actions))
-            plan = cache.plans.get(history)
+            key = (tuple(observations), tuple(actions))
+            plan = cache.plans.get(key)
             if plan is None:
-                plan = cache.plans[history] = _plan(model, history, kind, gamma, reward_per_obs)
+                plan = cache.plans[key] = _plan(
+                    model, History(*key), kind, gamma, reward_per_obs
+                )
             plans.append(plan)
-            action = select_action(plan.marginal, mode, rng)
+            if mode is SelectionMode.ARGMAX:
+                action = plan.argmax
+            else:
+                action = select_action(plan.marginal, mode, rng)
 
             obs, done = env.step(action)
             actions.append(int(action))
@@ -260,18 +289,20 @@ def run_trial(
             f"trial {trial_index}, agent {kind.value!r}: {exc}"
         ) from exc
 
-    final = History(tuple(observations), tuple(actions))
-    smoothed = cache.smoothed.get(final)
-    if smoothed is None:
-        smoothed = cache.smoothed[final] = preferential_inference(model, final).past
-    score = float(env.score(observations, actions))
+    key = (tuple(observations), tuple(actions))
+    outcome = cache.outcomes.get(key)
+    if outcome is None:
+        outcome = cache.outcomes[key] = _Outcome(
+            smoothed=preferential_inference(model, History(*key)).past,
+            score=float(env.score(observations, actions)),
+        )
     record = TrialRecord(
         trial_index=trial_index,
         agent=kind,
         context=int(context),
-        observations=tuple(observations),
-        actions=tuple(actions),
-        score=score,
+        observations=key[0],
+        actions=key[1],
+        score=outcome.score,
         action_marginals=tuple(p.marginal.probs for p in plans),
         policy_probs=tuple(p.policy_probs for p in plans),
         efe_rows=(
@@ -280,7 +311,7 @@ def run_trial(
             else None
         ),
     )
-    held_at = tuple(p.held_at for p in plans) + (smoothed,)
+    held_at = tuple(p.held_at for p in plans) + (outcome.smoothed,)
     return record, BeliefTrace(held_at=held_at)
 
 

@@ -25,7 +25,9 @@ cross-checking at desk scale.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -190,12 +192,21 @@ def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> E
 def enumerate_policies(
     n_actions: int, length: int, cap: int = POLICY_CAP
 ) -> tuple[Policy, ...]:
-    """All action sequences of the given length, lexicographic order."""
+    """All action sequences of the given length, lexicographic order.
+
+    Calls for one (n_actions, length) return the same tuple, kept in a cache of
+    the last few shapes, so posteriors of one shape share their policies.
+    """
     count = n_actions**length
     if count > cap:
         raise PolicySpaceOverflow(
             f"{n_actions}^{length} = {count} policies exceeds the cap {cap}"
         )
+    return _policy_space(n_actions, length)
+
+
+@functools.lru_cache(maxsize=8)
+def _policy_space(n_actions: int, length: int) -> tuple[Policy, ...]:
     return tuple(Policy(seq) for seq in itertools.product(range(n_actions), repeat=length))
 
 
@@ -373,13 +384,23 @@ def _scored_posterior(
     kind: ObjectiveKind = ObjectiveKind.EXPECTED_FREE_ENERGY,
     reward_per_obs: np.ndarray | None = None,
 ) -> tuple[PolicyPosterior, list[EfeBreakdown]]:
-    """policy_posterior plus the EFE breakdowns its single tree pass scored."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    """policy_posterior plus the EFE breakdowns its single tree pass scored.
+
+    A gamma that scales a finite score past the float range is a ValueError.
+    """
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be a finite number >= 0, got {gamma!r}")
     if model.horizon - history.t < 1:
         raise ValueError("no decisions remain at this history")
     policies, scores, rows = policy_scores(model, history, kind, reward_per_obs)
-    log_weights = gamma * scores
+    with np.errstate(over="ignore"):
+        log_weights = gamma * scores
+    overflowed = np.isinf(log_weights) & np.isfinite(scores)
+    if overflowed.any():
+        raise ValueError(
+            f"gamma {gamma!r} times the policy score {float(scores[overflowed][0])!r} "
+            "overflows the float range"
+        )
     posterior = PolicyPosterior(
         policies=policies,
         log_weights=log_weights,
@@ -392,9 +413,11 @@ def action_marginal(posterior: PolicyPosterior, n_actions: int) -> Categorical:
     """Marginalize the policy posterior onto the next action."""
     if not posterior.policies:
         raise ValueError("empty policy posterior")
-    marginal = np.zeros(n_actions)
-    for policy, prob in zip(posterior.policies, posterior.probs.probs):
-        marginal[policy.actions[0]] += prob
+    first_actions = [policy.actions[0] for policy in posterior.policies]
+    # bincount adds the weights one by one in policy order, from zero.
+    marginal = np.bincount(first_actions, weights=posterior.probs.probs, minlength=n_actions)
+    if marginal.shape != (n_actions,):
+        raise ValueError(f"a policy starts with an action outside range({n_actions})")
     return Categorical(marginal / marginal.sum())
 
 

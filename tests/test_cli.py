@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,24 @@ def test_plan_with_history(tmaze_path, capsys):
     assert len(rows) == 4
     # after the cue the reward arm is the unique minimizer
     assert rows[0].split(",")[0] == "1"
+
+
+@pytest.mark.parametrize(
+    "gamma, code, prefix",
+    [
+        ("nan", 2, "bad gamma: nan is not a finite number >= 0"),
+        ("-1", 2, "bad gamma: -1.0 is not a finite number >= 0"),
+        ("inf", 2, "bad gamma: inf is not a finite number >= 0"),
+        ("1e308", 1, "planning failed: gamma 1e+308 times the policy score"),
+    ],
+)
+def test_plan_bad_gamma_one_line(tmaze_path, capsys, gamma, code, prefix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plan", str(tmaze_path), "--gamma", gamma]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_plan_inconsistent_history_exit_1(tmaze_path, capsys):
@@ -303,6 +322,38 @@ def test_run_bad_numeric_config_field_exit_2(tmp_path, capsys, field, text):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config failure: {field} must be")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_overflowing_gamma_exit_1(tmp_path, capsys):
+    doc = json.loads(data_path("fig2.json").read_text(encoding="utf-8"))
+    doc.update(n_trials=2, gamma=1e308, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime failure: trial 0, agent 'efe': gamma 1e+308")
+    assert "overflows" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_run_repeated_agent_kind_exit_2(tmp_path, capsys):
+    doc = {
+        "environment": {"name": "tmaze"},
+        "agents": [
+            {"kind": "efe", "selection": "argmax"},
+            {"kind": "efe", "selection": "sample"},
+        ],
+        "n_trials": 3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config failure: agent kind listed more than once: efe\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -282,6 +282,9 @@ def test_config_validation():
         small_config(agents=[])
     with pytest.raises(ep.ConfigError):
         small_config(agents=["no_such_agent"])
+    # records are keyed by kind, so a repeated kind would lose trials
+    with pytest.raises(ep.ConfigError, match="more than once: reward"):
+        small_config(agents=["reward", "efe", {"kind": "reward", "selection": "argmax"}])
     cfg = small_config(agents=[{"kind": "reward", "selection": "argmax"}])
     assert cfg.agents[0].selection is ep.SelectionMode.ARGMAX
 
@@ -445,3 +448,203 @@ def test_write_outputs_keeps_signed_zero_rows_apart(tmp_path):
     assert_outputs_match_reference(result, tmp_path)
     lines = (tmp_path / "shared" / "efe.csv").read_text().splitlines()[1:]
     assert lines[0].startswith("0,0,0,0,1,") and lines[-1].startswith("1,1,0,-0,1,")
+
+
+# --- the plan cache against the uncached-key trial loop ------------------------
+
+
+class ReferenceCache:
+    """The History-keyed cache of the reference loop: plans and smoothed posteriors."""
+
+    def __init__(self):
+        self.plans = {}
+        self.smoothed = {}
+
+
+def reference_run_trial(
+    model,
+    env,
+    kind,
+    gamma,
+    mode,
+    rng,
+    reward_per_obs=None,
+    trial_index=0,
+    cache=None,
+):
+    """The trial loop that builds a History per step, selects per step and scores per trial."""
+    if reward_per_obs is None:
+        reward_per_obs = model.preferences.obs_log_pref
+    if cache is None:
+        cache = ReferenceCache()
+    observations = [int(env.reset(rng))]
+    context = env.ground_truth() % 2
+    actions = []
+    plans = []
+
+    try:
+        done = False
+        while not done:
+            history = ep.History(tuple(observations), tuple(actions))
+            plan = cache.plans.get(history)
+            if plan is None:
+                plan = cache.plans[history] = harness._plan(
+                    model, history, kind, gamma, reward_per_obs
+                )
+            plans.append(plan)
+            action = planning.select_action(plan.marginal, mode, rng)
+
+            obs, done = env.step(action)
+            actions.append(int(action))
+            observations.append(int(obs))
+    except (ValueError, RuntimeError) as exc:
+        raise ep.TrialError(f"trial {trial_index}, agent {kind.value!r}: {exc}") from exc
+
+    final = ep.History(tuple(observations), tuple(actions))
+    smoothed = cache.smoothed.get(final)
+    if smoothed is None:
+        smoothed = cache.smoothed[final] = ep.preferential_inference(model, final).past
+    score = float(env.score(observations, actions))
+    record = ep.TrialRecord(
+        trial_index=trial_index,
+        agent=kind,
+        context=int(context),
+        observations=tuple(observations),
+        actions=tuple(actions),
+        score=score,
+        action_marginals=tuple(p.marginal.probs for p in plans),
+        policy_probs=tuple(p.policy_probs for p in plans),
+        efe_rows=(
+            tuple(p.efe_rows for p in plans)
+            if kind is ep.ObjectiveKind.EXPECTED_FREE_ENERGY
+            else None
+        ),
+    )
+    held_at = tuple(p.held_at for p in plans) + (smoothed,)
+    return record, ep.BeliefTrace(held_at=held_at)
+
+
+def fig2_config(master_seed):
+    doc = json.loads(Path(data_path("fig2.json")).read_text(encoding="utf-8"))
+    return ep.config_from_dict(dict(doc, master_seed=master_seed))
+
+
+CACHE_CONFIGS = {
+    **{f"fig2-seed-{seed}": (lambda seed=seed: fig2_config(seed)) for seed in (0, 7, 123, 2026)},
+    "four-agents-200-gamma-2.5": lambda: small_config(
+        agents=["efe", "reward", "info_gain", "reward_info_gain"],
+        gamma=2.5,
+        n_trials=200,
+        master_seed=31,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CONFIGS))
+def test_run_experiment_matches_reference_trial_loop(tmp_path, name):
+    cfg = CACHE_CONFIGS[name]()
+    result = ep.run_experiment(cfg)
+    model, env, reward_per_obs = harness.build_environment(cfg)
+    records, traces = {}, {}
+    for agent_index, spec in enumerate(cfg.agents):
+        cache = ReferenceCache()
+        pairs = [
+            reference_run_trial(
+                model,
+                env,
+                spec.kind,
+                cfg.gamma,
+                spec.selection,
+                ep.derive_rng(cfg.master_seed, agent_index, trial),
+                reward_per_obs=reward_per_obs,
+                trial_index=trial,
+                cache=cache,
+            )
+            for trial in range(cfg.n_trials)
+        ]
+        records[spec.name] = [record for record, _ in pairs]
+        traces[spec.name] = [trace for _, trace in pairs]
+        assert result.summary["agents"][spec.name]["scores"] == [
+            record.score for record in records[spec.name]
+        ]
+        for got, want in zip(result.records[spec.name], records[spec.name]):
+            assert records_equal(got, want)
+            assert got.trial_index == want.trial_index and got.agent is want.agent
+            assert (got.efe_rows is None) == (want.efe_rows is None)
+            if got.efe_rows is not None:
+                assert got.efe_rows == want.efe_rows
+        for got, want in zip(result.traces[spec.name], traces[spec.name]):
+            assert len(got.held_at) == len(want.held_at)
+            for a, b in zip(got.held_at, want.held_at):
+                assert np.array_equal(stacked(a), stacked(b))
+    reference = ep.ExperimentResult(
+        config=cfg, records=records, traces=traces, summary=result.summary
+    )
+    ep.write_outputs(result, tmp_path / "cached")
+    ep.write_outputs(reference, tmp_path / "reference")
+    for file_name in OUTPUT_FILES:
+        got = (tmp_path / "cached" / file_name).read_bytes()
+        assert got == (tmp_path / "reference" / file_name).read_bytes(), file_name
+
+
+def distinct_histories(records):
+    """Distinct decision histories and distinct final histories of one agent's records."""
+    decisions, finals = set(), set()
+    for rec in records:
+        finals.add((rec.observations, rec.actions))
+        for t in range(len(rec.actions)):
+            decisions.add((rec.observations[: t + 1], rec.actions[:t]))
+    return decisions, finals
+
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [
+        ("efe", ep.SelectionMode.ARGMAX),
+        ("info_gain", ep.SelectionMode.ARGMAX),
+        ("reward", ep.SelectionMode.ARGMAX),
+        ("reward", ep.SelectionMode.SAMPLE),
+        ("reward_info_gain", ep.SelectionMode.SAMPLE),
+    ],
+)
+def test_cache_selects_once_per_plan_and_scores_once_per_final_history(
+    monkeypatch, kind, mode
+):
+    selections, scored = [], []
+    select, score = planning.select_action, ep.TMazeEnv.score
+
+    def counting_select(marginal, selection_mode=ep.SelectionMode.ARGMAX, rng=None):
+        selections.append(selection_mode)
+        return select(marginal, selection_mode, rng)
+
+    def counting_score(self, observations, actions):
+        scored.append((tuple(observations), tuple(actions)))
+        return score(self, observations, actions)
+
+    monkeypatch.setattr(harness, "select_action", counting_select)
+    monkeypatch.setattr(ep.TMazeEnv, "score", counting_score)
+    model, env = ep.make_environment("tmaze")
+    cache = harness.PlanCache()
+    records = [
+        ep.run_trial(
+            model,
+            env,
+            ep.ObjectiveKind(kind),
+            1.0,
+            mode,
+            ep.derive_rng(5, 0, trial),
+            trial_index=trial,
+            cache=cache,
+        )[0]
+        for trial in range(60)
+    ]
+    decisions, finals = distinct_histories(records)
+    assert set(cache.plans) == decisions and set(cache.outcomes) == finals
+    argmax_calls = selections.count(ep.SelectionMode.ARGMAX)
+    assert argmax_calls == len(decisions)
+    sampled = 0 if mode is ep.SelectionMode.ARGMAX else 60 * model.horizon
+    assert len(selections) - argmax_calls == sampled
+    assert len(scored) == len(set(scored)) and set(scored) == finals
+    if mode is ep.SelectionMode.SAMPLE:
+        assert len(finals) > 1  # the sampling agent does take different routes
+

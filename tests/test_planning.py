@@ -268,6 +268,89 @@ def test_action_marginal_two_policies():
     assert np.allclose(marg.probs, [0.7, 0.3], atol=1e-12)
 
 
+def reference_action_marginal(posterior, n_actions):
+    """The per-policy marginal loop that np.bincount replaces."""
+    marginal = np.zeros(n_actions)
+    for policy, prob in zip(posterior.policies, posterior.probs.probs):
+        marginal[policy.actions[0]] += prob
+    return ep.Categorical(marginal / marginal.sum())
+
+
+def test_action_marginal_matches_reference_loop_bit_for_bit(rng):
+    posteriors = []
+    for _ in range(40):
+        model = random_model(rng, max_actions=4)
+        history = simulate_history(rng, model)
+        gamma = float(rng.uniform(0.1, 5.0))
+        for kind in ep.ObjectiveKind:
+            posteriors.append(
+                (
+                    ep.policy_posterior(
+                        model, history, gamma, kind, model.preferences.obs_log_pref
+                    ),
+                    model.n_actions,
+                )
+            )
+    # Hand-built: unordered, repeated and missing first actions, tiny and
+    # zero weights, and sums whose rounding depends on the order of addition.
+    for policies, weights, n_actions in [
+        ([(2, 0), (0, 1), (2, 2), (1, 0), (2, 1)], [0.1, 0.2, 0.3, 1e-17, 0.4], 4),
+        ([(0,), (0,), (0,)], [1 / 3, 1 / 3, 1 / 3], 3),
+        ([(1,), (0,), (1,), (1,)], [0.7, 0.0, 0.1 + 1e-16, 0.2 - 1e-16], 2),
+        ([(3, 3)], [1.0], 5),
+    ]:
+        probs = np.asarray(weights) / np.sum(weights)
+        posteriors.append(
+            (
+                ep.PolicyPosterior(
+                    policies=tuple(ep.Policy(p) for p in policies),
+                    log_weights=np.log(np.maximum(probs, 1e-300)),
+                    probs=ep.Categorical(probs),
+                ),
+                n_actions,
+            )
+        )
+    for posterior, n_actions in posteriors:
+        got = ep.action_marginal(posterior, n_actions).probs
+        want = reference_action_marginal(posterior, n_actions).probs
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("first", [4, -1])
+def test_action_marginal_rejects_out_of_range_first_action(first):
+    post = ep.PolicyPosterior(
+        policies=(ep.Policy((0, 1)), ep.Policy((first, 0))),
+        log_weights=np.array([0.0, 0.0]),
+        probs=ep.Categorical([0.5, 0.5]),
+    )
+    with pytest.raises(ValueError):
+        ep.action_marginal(post, n_actions=4)
+
+
+def test_enumerate_policies_shares_one_tuple_per_shape():
+    first = ep.enumerate_policies(3, 4)
+    assert ep.enumerate_policies(3, 4) is first
+    assert ep.enumerate_policies(3, 4, cap=81) is first
+    assert ep.enumerate_policies(4, 3) is not first
+    assert first == tuple(
+        ep.Policy((a, b, c, d))
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+        for d in range(3)
+    )
+    model = ep.tmaze_model()
+    reward = model.preferences.obs_log_pref
+    posts = [
+        ep.policy_posterior(model, ep.History((0,), ()), kind=kind, reward_per_obs=reward)
+        for kind in ep.ObjectiveKind
+    ]
+    assert all(post.policies is ep.enumerate_policies(4, 2) for post in posts)
+    # the cap is checked before the shared tuple is looked up
+    with pytest.raises(ep.PolicySpaceOverflow):
+        ep.enumerate_policies(3, 4, cap=80)
+
+
 def test_select_action_argmax_tie_breaks_low():
     marg = ep.Categorical([0.25, 0.25, 0.25, 0.25])
     assert ep.select_action(marg, ep.SelectionMode.ARGMAX) == 0
