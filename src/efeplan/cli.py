@@ -23,6 +23,7 @@ from .harness import (
     run_trial,
     write_outputs,
 )
+from .inference import checked_actions
 from .model import History, ModelFormatError, load_model
 from .planning import _scored_posterior
 
@@ -47,19 +48,7 @@ def _parse_history(model, obs_text: str, actions_text: str) -> History:
     leaves no decision, is left to planning.
     """
     history = History(_parse_index_list(obs_text), _parse_index_list(actions_text))
-    if history.t > model.horizon:
-        raise ValueError(
-            f"{history.t} actions exceed the model's horizon {model.horizon}"
-        )
-    for name, indices, count in (
-        ("observation", history.observations, model.n_obs),
-        ("action", history.actions, model.n_actions),
-    ):
-        for i in indices:
-            if not 0 <= i < count:
-                raise ValueError(
-                    f"{name} index {i} out of range (the model has {count} {name}s)"
-                )
+    checked_actions(model, history)
     return history
 
 

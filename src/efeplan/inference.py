@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maths import logsumexp, safe_log
+from .maths import logsumexp, safe_log, softmax
 from .model import Categorical, GenerativeModel, History, Policy, pullback_preferences
 
 ENUMERATION_CAP = 10**7
@@ -86,7 +86,14 @@ class PreferencePosterior:
     future_obs: tuple[Categorical, ...]
 
 
-def _combined_actions(model: GenerativeModel, history: History, policy: Policy | None):
+def checked_actions(
+    model: GenerativeModel, history: History, policy: Policy | None = None
+) -> tuple[int, ...]:
+    """The history's actions followed by the policy's; ValueError if they do not fit.
+
+    They do not fit when they span more actions than the horizon, or when an
+    action or observation index lies outside the model's range.
+    """
     actions = history.actions + (policy.actions if policy is not None else ())
     if len(actions) > model.horizon:
         raise ValueError(
@@ -105,21 +112,20 @@ def enumerate_posterior(
     model: GenerativeModel,
     history: History,
     policy: Policy | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> StateTrajectoryPosterior:
     """Exact trajectory posterior by summing the joint over all state sequences.
 
     Future observations are marginalized out (their emission factors sum to
     one), so only the observed prefix contributes evidence. Complexity is
-    |S|^(L) joint terms for a chain of L timesteps; refuses above `cap`.
+    |S|^(L) joint terms for a chain of L timesteps; refuses above ENUMERATION_CAP.
     """
-    actions = _combined_actions(model, history, policy)
+    actions = checked_actions(model, history, policy)
     L = len(actions) + 1
     S = model.n_states
     n_seq = S**L
-    if n_seq > cap:
+    if n_seq > ENUMERATION_CAP:
         raise HorizonOverflow(
-            f"{S}^{L} = {n_seq} joint terms exceeds the enumeration cap {cap}"
+            f"{S}^{L} = {n_seq} joint terms exceeds the enumeration cap {ENUMERATION_CAP}"
         )
 
     logA = safe_log(model.likelihood.matrix)
@@ -158,7 +164,7 @@ def filter_and_smooth(
     Timesteps up to t are smoothed against the observed prefix; timesteps past
     t (no evidence yet) come out as predictive marginals under the policy.
     """
-    actions = _combined_actions(model, history, policy)
+    actions = checked_actions(model, history, policy)
     L = len(actions) + 1
     n_obs_steps = len(history.observations)
 
@@ -191,10 +197,7 @@ def filter_and_smooth(
             msg = msg + logA[history.observations[tau + 1]][:, np.newaxis]
         betas[tau] = logsumexp(msg, axis=0)
 
-    # Row-wise softmax of alpha + beta: the per-row arithmetic of maths.softmax.
-    z = alphas + betas
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    marginals = tuple(Categorical(row) for row in e / e.sum(axis=1, keepdims=True))
+    marginals = tuple(Categorical(row) for row in softmax(alphas + betas))
     return MarginalBeliefs(marginals)
 
 

@@ -16,10 +16,10 @@ def normalize(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a finite logit vector."""
+    """Numerically stable softmax of finite logits along the last axis."""
     z = np.asarray(logits, dtype=float)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logsumexp(x: np.ndarray, axis=None) -> np.ndarray:

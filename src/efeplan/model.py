@@ -22,8 +22,6 @@ import numpy as np
 
 from .maths import NORM_ATOL, is_distribution, normalize, softmax
 
-STOCHASTIC_ATOL = 1e-9
-
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
     a = np.array(x, dtype=dtype)
@@ -190,7 +188,7 @@ def _check_columns_stochastic(name: str, mat: np.ndarray, out: list[Violation]):
         idx = tuple(int(i) for i in np.argwhere(neg)[0])
         out.append(Violation("NegativeEntry", name, idx, f"entry {mat[idx]} < 0"))
     sums = mat.sum(axis=0)
-    for j in np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_ATOL)[0]:
+    for j in np.nonzero(np.abs(sums - 1.0) > NORM_ATOL)[0]:
         out.append(
             Violation(
                 "NotStochastic",
@@ -215,42 +213,16 @@ def validate_model(model: GenerativeModel) -> ValidationReport:
 
     if model.horizon < 1:
         out.append(Violation("DimensionMismatch", "horizon", (), "horizon must be >= 1"))
-    if A.shape != (model.n_obs, model.n_states):
-        out.append(
-            Violation(
-                "DimensionMismatch",
-                "likelihood",
-                A.shape,
-                f"expected shape {(model.n_obs, model.n_states)}",
+    for name, arr, shape in (
+        ("likelihood", A, (model.n_obs, model.n_states)),
+        ("transitions", B, (model.n_actions, model.n_states, model.n_states)),
+        ("initial_belief", D, (model.n_states,)),
+        ("obs_log_pref", C, (model.n_obs,)),
+    ):
+        if arr.shape != shape:
+            out.append(
+                Violation("DimensionMismatch", name, arr.shape, f"expected shape {shape}")
             )
-        )
-    if B.shape != (model.n_actions, model.n_states, model.n_states):
-        out.append(
-            Violation(
-                "DimensionMismatch",
-                "transitions",
-                B.shape,
-                f"expected shape {(model.n_actions, model.n_states, model.n_states)}",
-            )
-        )
-    if D.shape != (model.n_states,):
-        out.append(
-            Violation(
-                "DimensionMismatch",
-                "initial_belief",
-                D.shape,
-                f"expected shape {(model.n_states,)}",
-            )
-        )
-    if C.shape != (model.n_obs,):
-        out.append(
-            Violation(
-                "DimensionMismatch",
-                "obs_log_pref",
-                C.shape,
-                f"expected shape {(model.n_obs,)}",
-            )
-        )
     for name, labels, count in (
         ("state_labels", model.state_labels, model.n_states),
         ("obs_labels", model.obs_labels, model.n_obs),

@@ -145,11 +145,9 @@ def _step_terms(
     return risk, ambiguity, extrinsic, intrinsic
 
 
-def _breakdown_from_terms(terms) -> EfeBreakdown:
-    risk = float(sum(t[0] for t in terms))
-    ambiguity = float(sum(t[1] for t in terms))
-    extrinsic = float(sum(t[2] for t in terms))
-    intrinsic = float(sum(t[3] for t in terms))
+def _breakdown(sums: tuple[float, float, float, float]) -> EfeBreakdown:
+    """The row of one policy from its (risk, ambiguity, extrinsic, intrinsic) sums."""
+    risk, ambiguity, extrinsic, intrinsic = sums
     total = risk + ambiguity
     return EfeBreakdown(
         total=total,
@@ -172,9 +170,8 @@ def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> E
     ctx = _PrefContext(model)
     beliefs = filter_and_smooth(model, history, policy)
     obs_marginals = predictive_observations(model, beliefs)
-    t = history.t
-    terms = []
-    for tau in range(t + 1, len(beliefs)):
+    sums = (0.0, 0.0, 0.0, 0.0)
+    for tau in range(history.t + 1, len(beliefs)):
         q = beliefs[tau].probs
         risk = kl_divergence(q, ctx.pref_states)
         ambiguity = float(q @ ctx.col_entropy)
@@ -185,22 +182,22 @@ def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> E
         for o in np.nonzero(mask)[0]:
             posterior = conditional_state_posterior(model, beliefs, tau, int(o))
             intrinsic += qo[o] * kl_divergence(posterior.probs, q)
-        terms.append((risk, ambiguity, extrinsic, intrinsic))
-    return _breakdown_from_terms(terms)
+        terms = (risk, ambiguity, extrinsic, float(intrinsic))
+        sums = tuple(s + x for s, x in zip(sums, terms))
+    return _breakdown(sums)
 
 
-def enumerate_policies(
-    n_actions: int, length: int, cap: int = POLICY_CAP
-) -> tuple[Policy, ...]:
+def enumerate_policies(n_actions: int, length: int) -> tuple[Policy, ...]:
     """All action sequences of the given length, lexicographic order.
 
     Calls for one (n_actions, length) return the same tuple, kept in a cache of
     the last few shapes, so posteriors of one shape share their policies.
+    More than POLICY_CAP policies is a PolicySpaceOverflow.
     """
     count = n_actions**length
-    if count > cap:
+    if count > POLICY_CAP:
         raise PolicySpaceOverflow(
-            f"{n_actions}^{length} = {count} policies exceeds the cap {cap}"
+            f"{n_actions}^{length} = {count} policies exceeds the cap {POLICY_CAP}"
         )
     return _policy_space(n_actions, length)
 
@@ -216,39 +213,32 @@ def _policy_tree(
     """Breakdowns for every remaining policy, sharing work across common prefixes.
 
     Predictive marginals for timesteps past t equal the filtered belief pushed
-    through the transition tensor, so the whole policy tree is evaluated with
-    one matrix-vector product and one set of per-step terms per tree node.
-    Given a per-observation reward vector, each node also scores its expected
-    reward, and each policy's path sum is returned as the third value.
+    through the transition tensor, so the tree is expanded one depth at a time,
+    with one matrix-vector product and one set of per-step terms per node. Each
+    node carries its path's running term sums, added in depth order from +0.0;
+    listing every parent's children in action order leaves the last level in
+    lexicographic policy order. Given a per-observation reward vector, each node
+    also adds its expected reward to a running sum, returned per policy as the
+    third value.
     """
-    policies = enumerate_policies(model.n_actions, model.horizon - history.t)
+    depth = model.horizon - history.t
+    policies = enumerate_policies(model.n_actions, depth)
     ctx = _PrefContext(model)
     root = filter_and_smooth(model, history).per_time[history.t].probs
-    scoring = reward is not None
-    belief_cache: dict[tuple[int, ...], np.ndarray] = {(): root}
-    term_cache: dict[tuple[int, ...], tuple[float, float, float, float]] = {}
-    reward_cache: dict[tuple[int, ...], float] = {}
-    rewards = np.empty(len(policies)) if scoring else None
-    rows = []
-    for i, policy in enumerate(policies):
-        prefix: tuple[int, ...] = ()
-        terms = []
-        acc = 0.0
-        for a in policy.actions:
-            parent = belief_cache[prefix]
-            prefix = prefix + (a,)
-            if prefix not in belief_cache:
-                q = belief_cache[prefix] = ctx.B[a] @ parent
+    level = [(root, (0.0, 0.0, 0.0, 0.0), 0.0)]
+    for _ in range(depth):
+        children = []
+        for parent, sums, earned in level:
+            for B_a in ctx.B:
+                q = B_a @ parent
                 qo = ctx.A @ q
-                term_cache[prefix] = _step_terms(ctx, q, qo)
-                if scoring:
-                    reward_cache[prefix] = float(reward @ qo)
-            terms.append(term_cache[prefix])
-            if scoring:
-                acc += reward_cache[prefix]
-        rows.append(_breakdown_from_terms(terms))
-        if scoring:
-            rewards[i] = acc
+                terms = _step_terms(ctx, q, qo)
+                child_sums = tuple(s + x for s, x in zip(sums, terms))
+                child_earned = earned if reward is None else earned + float(reward @ qo)
+                children.append((q, child_sums, child_earned))
+        level = children
+    rows = [_breakdown(sums) for _, sums, _ in level]
+    rewards = None if reward is None else np.array([earned for _, _, earned in level])
     return policies, rows, rewards
 
 
@@ -261,7 +251,7 @@ def efe_table(
 
 
 def trajectory_objective(
-    model: GenerativeModel, history: History, policy: Policy, cap: int = 10**7
+    model: GenerativeModel, history: History, policy: Policy
 ) -> TrajectoryObjective:
     """Trajectory-exact objective: risk over the joint future state sequence.
 
@@ -272,7 +262,7 @@ def trajectory_objective(
     of the predicted trajectory across time.
     """
     ctx = _PrefContext(model)
-    post = enumerate_posterior(model, history, policy, cap=cap)
+    post = enumerate_posterior(model, history, policy)
     t = history.t
     L = post.sequences.shape[1]
     future = post.sequences[:, t + 1 :]

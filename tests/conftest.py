@@ -14,8 +14,13 @@ def random_model(
     max_actions: int = 3,
     max_horizon: int = 4,
     deterministic_likelihood: bool = False,
+    sparse_transitions: bool = False,
 ) -> GenerativeModel:
-    """A seeded valid model with Dirichlet-stochastic tensors."""
+    """A seeded valid model with Dirichlet-stochastic tensors.
+
+    With sparse_transitions, about half the transition entries are zeroed
+    (keeping at least one per column) and the columns renormalized.
+    """
     S = int(rng.integers(2, max_states + 1))
     O = int(rng.integers(2, max_obs + 1))
     A_n = int(rng.integers(2, max_actions + 1))
@@ -26,6 +31,11 @@ def random_model(
     else:
         A = rng.dirichlet(np.ones(O), size=S).T
     B = np.stack([rng.dirichlet(np.ones(S), size=S).T for _ in range(A_n)])
+    if sparse_transitions:
+        keep = rng.random(B.shape) < 0.5
+        keep[np.arange(A_n)[:, None], B.argmax(axis=1), np.arange(S)] = True
+        B = np.where(keep, B, 0.0)
+        B /= B.sum(axis=1, keepdims=True)
     D = rng.dirichlet(np.ones(S))
     C = rng.normal(0.0, 2.0, size=O)
     return make_model(

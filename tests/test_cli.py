@@ -50,6 +50,16 @@ def test_validate_bad_column_exit_1(tmp_path, capsys):
     assert "NotStochastic" in err and "column 0" in err
 
 
+def test_validate_near_stochastic_column_exit_1(tmp_path, capsys):
+    doc = model_to_dict(ep.tmaze_model())
+    doc["likelihood"] = (np.array(doc["likelihood"]) * (1 + 5e-10)).tolist()
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "NotStochastic" in err and len(err.splitlines()) == 1
+
+
 def test_validate_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{ nope", encoding="utf-8")

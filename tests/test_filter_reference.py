@@ -15,7 +15,7 @@ import pytest
 
 import efeplan as ep
 from efeplan import maths
-from efeplan.inference import _combined_actions
+from efeplan.inference import checked_actions
 from efeplan.maths import safe_log
 
 from conftest import simulate_history
@@ -49,7 +49,7 @@ def reference_filter_and_smooth(
     Timesteps up to t are smoothed against the observed prefix; timesteps past
     t (no evidence yet) come out as predictive marginals under the policy.
     """
-    actions = _combined_actions(model, history, policy)
+    actions = checked_actions(model, history, policy)
     L = len(actions) + 1
     n_obs_steps = len(history.observations)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import efeplan as ep
+from efeplan import inference
 
 from conftest import random_model, simulate_history
 
@@ -85,11 +86,12 @@ def test_uniform_model_gives_uniform_trajectory_posterior():
     assert np.allclose(post.probs.probs, 1 / n**3, atol=1e-12)
 
 
-def test_enumeration_cap_raises():
+def test_enumeration_cap_raises(monkeypatch):
     model = random_model(np.random.default_rng(0))
     history = ep.History((0,), ())
+    monkeypatch.setattr(inference, "ENUMERATION_CAP", 1)
     with pytest.raises(ep.HorizonOverflow):
-        ep.enumerate_posterior(model, history, None, cap=1)
+        ep.enumerate_posterior(model, history, None)
 
 
 def test_oracle_equivalence_on_random_corpus(rng):

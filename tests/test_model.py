@@ -95,6 +95,33 @@ def test_validator_accepts_random_corpus(rng):
         assert ep.validate_model(random_model(rng)).ok
 
 
+def scaled_likelihood(model, factor):
+    return ep.make_model(
+        likelihood=model.likelihood.matrix * factor,
+        transitions=model.transitions.tensor,
+        initial_belief=model.initial_belief.probs,
+        obs_log_pref=model.preferences.obs_log_pref,
+        horizon=model.horizon,
+    )
+
+
+def test_column_sums_checked_to_categorical_tolerance(rng):
+    # a model that validates gives oracle rows within 1e-10 of the tree; at
+    # column sums of 1 + 5e-10 the two routes drift apart by up to ~2e-9
+    for _ in range(10):
+        model = random_model(rng, max_states=5, max_obs=4, max_horizon=3)
+        loose = ep.validate_model(scaled_likelihood(model, 1 + 5e-10))
+        assert {v.rule for v in loose.violations} == {"NotStochastic"}
+        assert {v.index for v in loose.violations} == {(j,) for j in range(model.n_states)}
+        tight = scaled_likelihood(model, 1 + 5e-13)
+        assert ep.validate_model(tight).ok
+        history = ep.History((0,), ())
+        policies, rows = ep.efe_table(tight, history)
+        for policy, row in zip(policies, rows):
+            oracle = ep.efe_breakdown(tight, history, policy)
+            np.testing.assert_allclose(oracle.as_row(), row.as_row(), rtol=0, atol=1e-10)
+
+
 def test_history_length_invariant():
     with pytest.raises(ValueError):
         ep.History((0, 1), ())

@@ -327,10 +327,11 @@ def test_action_marginal_rejects_out_of_range_first_action(first):
         ep.action_marginal(post, n_actions=4)
 
 
-def test_enumerate_policies_shares_one_tuple_per_shape():
+def test_enumerate_policies_shares_one_tuple_per_shape(monkeypatch):
     first = ep.enumerate_policies(3, 4)
     assert ep.enumerate_policies(3, 4) is first
-    assert ep.enumerate_policies(3, 4, cap=81) is first
+    monkeypatch.setattr(planning, "POLICY_CAP", 81)
+    assert ep.enumerate_policies(3, 4) is first
     assert ep.enumerate_policies(4, 3) is not first
     assert first == tuple(
         ep.Policy((a, b, c, d))
@@ -347,8 +348,9 @@ def test_enumerate_policies_shares_one_tuple_per_shape():
     ]
     assert all(post.policies is ep.enumerate_policies(4, 2) for post in posts)
     # the cap is checked before the shared tuple is looked up
+    monkeypatch.setattr(planning, "POLICY_CAP", 80)
     with pytest.raises(ep.PolicySpaceOverflow):
-        ep.enumerate_policies(3, 4, cap=80)
+        ep.enumerate_policies(3, 4)
 
 
 def test_select_action_argmax_tie_breaks_low():
@@ -464,30 +466,92 @@ def test_reward_vector_dimension_mismatch():
 
 # --- one policy-tree pass per decision -----------------------------------------
 
-def reference_reward_scores(model, history, reward):
-    """Expected-reward path sums from a prefix walk of their own.
+def reference_breakdown(terms):
+    risk = float(sum(t[0] for t in terms))
+    ambiguity = float(sum(t[1] for t in terms))
+    extrinsic = float(sum(t[2] for t in terms))
+    intrinsic = float(sum(t[3] for t in terms))
+    total = risk + ambiguity
+    return ep.EfeBreakdown(
+        total=total,
+        risk=risk,
+        ambiguity=ambiguity,
+        extrinsic=extrinsic,
+        intrinsic=intrinsic,
+        residual=total + extrinsic + intrinsic,
+    )
 
-    Each tree node scores reward @ (A @ q) for its predictive state marginal q,
-    and each policy sums its nodes with a running += from 0.0.
+
+def reference_policy_tree(model, history, reward, reverse=False):
+    """Rows and expected-reward sums from a prefix-dict walk of the policy tree.
+
+    Each policy walks its action prefixes; a prefix seen for the first time is
+    a new tree node, scored once and cached. Each policy then sums its nodes'
+    terms from 0 in depth order, or deepest first when reverse is set.
     """
-    A, B = model.likelihood.matrix, model.transitions.tensor
-    root = ep.filter_and_smooth(model, history).per_time[history.t].probs
+    ctx = planning._PrefContext(model)
     policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
-    cache = {(): root}
-    node_reward = {}
-    scores = np.empty(len(policies))
+    root = ep.filter_and_smooth(model, history).per_time[history.t].probs
+    belief_cache = {(): root}
+    term_cache = {}
+    reward_cache = {}
+    rewards = np.empty(len(policies))
+    rows = []
     for i, policy in enumerate(policies):
         prefix = ()
-        acc = 0.0
+        path = []
         for a in policy.actions:
-            parent = cache[prefix]
+            parent = belief_cache[prefix]
             prefix = prefix + (a,)
-            if prefix not in cache:
-                cache[prefix] = B[a] @ parent
-                node_reward[prefix] = float(reward @ (A @ cache[prefix]))
-            acc += node_reward[prefix]
-        scores[i] = acc
-    return scores
+            if prefix not in belief_cache:
+                q = belief_cache[prefix] = ctx.B[a] @ parent
+                qo = ctx.A @ q
+                term_cache[prefix] = planning._step_terms(ctx, q, qo)
+                reward_cache[prefix] = float(reward @ qo)
+            path.append(prefix)
+        if reverse:
+            path.reverse()
+        rows.append(reference_breakdown([term_cache[p] for p in path]))
+        acc = 0.0
+        for p in path:
+            acc += reward_cache[p]
+        rewards[i] = acc
+    return rows, rewards
+
+
+def hexes(values):
+    """float.hex of each value, so -0.0 and 0.0 compare unequal."""
+    return [float(v).hex() for v in values]
+
+
+SCORE_GAMMA = 0.7
+
+
+def reference_outputs(model, history, reward, reverse=False):
+    """Per kind: the hex scores, rows and posterior log-weights of the reference walk."""
+    rows, rewards = reference_policy_tree(model, history, reward, reverse)
+    intrinsic = np.array([r.intrinsic for r in rows])
+    kinds = ep.ObjectiveKind
+    scores = {
+        kinds.EXPECTED_FREE_ENERGY: np.array([-r.total for r in rows]),
+        kinds.EXPECTED_REWARD: rewards,
+        kinds.REWARD_PLUS_INFO_GAIN: rewards + intrinsic,
+        kinds.INFO_GAIN_ONLY: intrinsic,
+    }
+    return {
+        kind: (hexes(s), [hexes(r.as_row()) for r in rows], hexes(SCORE_GAMMA * s))
+        for kind, s in scores.items()
+    }
+
+
+def tree_outputs(model, history, reward):
+    """Per kind: the hex scores, rows and posterior log-weights of the planner."""
+    out = {}
+    for kind in ep.ObjectiveKind:
+        _, scores, rows = planning.policy_scores(model, history, kind, reward)
+        post = ep.policy_posterior(model, history, SCORE_GAMMA, kind, reward)
+        out[kind] = (hexes(scores), [hexes(r.as_row()) for r in rows], hexes(post.log_weights))
+    return out
 
 
 @pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
@@ -537,19 +601,19 @@ def test_policy_scores_match_per_policy_oracles(rng):
 def test_reward_scores_equal_reference_walk(rng):
     tmaze = ep.tmaze_model()
     cases = [(tmaze, ep.History((0,), ())), (tmaze, ep.History((0, 5), (3,)))]
-    for _ in range(20):
-        model = random_model(rng)
-        cases.append((model, simulate_history(rng, model)))
+    for options in (
+        {},
+        {"deterministic_likelihood": True},
+        {"sparse_transitions": True},
+    ):
+        for _ in range(10):
+            model = random_model(rng, **options)
+            cases.append((model, simulate_history(rng, model)))
+    reversed_differs = False
     for model, history in cases:
         reward = rng.normal(size=model.n_obs)
-        reference = reference_reward_scores(model, history, reward)
-        _, rows = ep.efe_table(model, history)
-        _, scores, reward_rows = planning.policy_scores(
-            model, history, ep.ObjectiveKind.EXPECTED_REWARD, reward
-        )
-        assert np.array_equal(scores, reference)
-        assert [r.as_row() for r in reward_rows] == [r.as_row() for r in rows]
-        _, both, _ = planning.policy_scores(
-            model, history, ep.ObjectiveKind.REWARD_PLUS_INFO_GAIN, reward
-        )
-        assert np.array_equal(both, reference + np.array([r.intrinsic for r in rows]))
+        got = tree_outputs(model, history, reward)
+        assert got == reference_outputs(model, history, reward)
+        reversed_differs |= got != reference_outputs(model, history, reward, reverse=True)
+    # summing each path deepest first changes some bits, which the comparison sees
+    assert reversed_differs
