@@ -51,8 +51,8 @@ def safe_log(x: np.ndarray) -> np.ndarray:
 def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats, with 0*log(0) = 0."""
     p = np.asarray(p, dtype=float)
-    m = p > 0
-    return float(-np.sum(p[m] * np.log(p[m])))
+    pm = p[p > 0]
+    return float(-(pm * np.log(pm)).sum())
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
@@ -60,9 +60,11 @@ def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     m = q > 0
-    if np.any(p[m] <= 0):
+    qm = q[m]
+    pm = p[m]
+    if (pm <= 0).any():
         return float("inf")
-    return float(np.sum(q[m] * (np.log(q[m]) - np.log(p[m]))))
+    return float((qm * (np.log(qm) - np.log(pm))).sum())
 
 
 def column_entropies(matrix: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .inference import (
+    MarginalBeliefs,
     conditional_state_posterior,
     enumerate_posterior,
     filter_and_smooth,
@@ -133,15 +134,28 @@ def _step_terms(
 ) -> tuple[float, float, float, float]:
     """(risk, ambiguity, extrinsic, intrinsic) for one predictive state marginal.
 
-    qo is the predictive observation marginal A @ q.
+    qo is the predictive observation marginal A @ q. The operations and their
+    order are those of `kl_divergence` and the masked sums of `efe_breakdown`,
+    so every term is bit-identical to that route; each masked vector is taken
+    once and the context's logs are reused.
     """
-    risk = kl_divergence(q, ctx.pref_states)
+    m = q > 0
+    qm = q[m]
+    # A state preference that underflowed to 0 has log -inf, so its entry and
+    # the sum are +inf: the inf that kl_divergence returns, with no test for it.
+    log_ratio = np.log(qm)
+    log_ratio -= ctx.ln_pref_states[m]
+    log_ratio *= qm
+    risk = float(np.add.reduce(log_ratio))
     ambiguity = float(q @ ctx.col_entropy)
     mask = qo > 0
-    extrinsic = float(np.sum(qo[mask] * ctx.ln_obs_marginal[mask]))
+    qom = qo[mask]
+    extrinsic = float(np.add.reduce(qom * ctx.ln_obs_marginal[mask]))
     # E_o[KL(q(s|o) || q(s))] collapses to the mutual information I(s;o):
     # H(q_o) minus the expected likelihood-column entropy.
-    intrinsic = float(-np.sum(qo[mask] * np.log(qo[mask]))) - ambiguity
+    plogp = np.log(qom)
+    plogp *= qom
+    intrinsic = -float(np.add.reduce(plogp)) - ambiguity
     return risk, ambiguity, extrinsic, intrinsic
 
 
@@ -167,8 +181,14 @@ def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> E
     accumulated observation by observation as the divergence of each
     `conditional_state_posterior` Bayes update.
     """
+    return _breakdown_of_beliefs(model, history, filter_and_smooth(model, history, policy))
+
+
+def _breakdown_of_beliefs(
+    model: GenerativeModel, history: History, beliefs: MarginalBeliefs
+) -> EfeBreakdown:
+    """efe_breakdown of the policy whose smoothed beliefs are given."""
     ctx = _PrefContext(model)
-    beliefs = filter_and_smooth(model, history, policy)
     obs_marginals = predictive_observations(model, beliefs)
     sums = (0.0, 0.0, 0.0, 0.0)
     for tau in range(history.t + 1, len(beliefs)):
@@ -232,8 +252,13 @@ def _policy_tree(
             for B_a in ctx.B:
                 q = B_a @ parent
                 qo = ctx.A @ q
-                terms = _step_terms(ctx, q, qo)
-                child_sums = tuple(s + x for s, x in zip(sums, terms))
+                risk, ambiguity, extrinsic, intrinsic = _step_terms(ctx, q, qo)
+                child_sums = (
+                    sums[0] + risk,
+                    sums[1] + ambiguity,
+                    sums[2] + extrinsic,
+                    sums[3] + intrinsic,
+                )
                 child_earned = earned if reward is None else earned + float(reward @ qo)
                 children.append((q, child_sums, child_earned))
         level = children
@@ -313,13 +338,12 @@ def alternative_objective(
     """
     if kind in (ObjectiveKind.EXPECTED_REWARD, ObjectiveKind.REWARD_PLUS_INFO_GAIN):
         reward_per_obs = _checked_reward(model, reward_per_obs)
-    breakdown = efe_breakdown(model, history, policy)
-    if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
-        return -breakdown.total
-    if kind is ObjectiveKind.INFO_GAIN_ONLY:
-        return breakdown.intrinsic
-
     beliefs = filter_and_smooth(model, history, policy)
+    if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
+        return -_breakdown_of_beliefs(model, history, beliefs).total
+    if kind is ObjectiveKind.INFO_GAIN_ONLY:
+        return _breakdown_of_beliefs(model, history, beliefs).intrinsic
+
     A = model.likelihood.matrix
     expected_reward = sum(
         float(reward_per_obs @ (A @ beliefs[tau].probs))
@@ -327,7 +351,7 @@ def alternative_objective(
     )
     if kind is ObjectiveKind.EXPECTED_REWARD:
         return expected_reward
-    return expected_reward + breakdown.intrinsic
+    return expected_reward + _breakdown_of_beliefs(model, history, beliefs).intrinsic
 
 
 def policy_scores(

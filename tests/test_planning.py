@@ -482,6 +482,19 @@ def reference_breakdown(terms):
     )
 
 
+def reference_step_terms(ctx, q, qo):
+    """(risk, ambiguity, extrinsic, intrinsic) of one node, written directly on
+    `kl_divergence` and masked `np.sum` calls: the independent reference that
+    `planning._step_terms` must match bit for bit.
+    """
+    risk = kl_divergence(q, ctx.pref_states)
+    ambiguity = float(q @ ctx.col_entropy)
+    mask = qo > 0
+    extrinsic = float(np.sum(qo[mask] * ctx.ln_obs_marginal[mask]))
+    intrinsic = float(-np.sum(qo[mask] * np.log(qo[mask]))) - ambiguity
+    return risk, ambiguity, extrinsic, intrinsic
+
+
 def reference_policy_tree(model, history, reward, reverse=False):
     """Rows and expected-reward sums from a prefix-dict walk of the policy tree.
 
@@ -506,7 +519,7 @@ def reference_policy_tree(model, history, reward, reverse=False):
             if prefix not in belief_cache:
                 q = belief_cache[prefix] = ctx.B[a] @ parent
                 qo = ctx.A @ q
-                term_cache[prefix] = planning._step_terms(ctx, q, qo)
+                term_cache[prefix] = reference_step_terms(ctx, q, qo)
                 reward_cache[prefix] = float(reward @ qo)
             path.append(prefix)
         if reverse:
@@ -517,6 +530,19 @@ def reference_policy_tree(model, history, reward, reverse=False):
             acc += reward_cache[p]
         rewards[i] = acc
     return rows, rewards
+
+
+def benchmark_model(rng, n_states, n_obs, n_actions, horizon):
+    """A dense Dirichlet model of one (S, O, A, H) shape, as the benchmark draws them."""
+    return ep.make_model(
+        likelihood=rng.dirichlet(np.ones(n_obs), size=n_states).T,
+        transitions=np.stack(
+            [rng.dirichlet(np.ones(n_states), size=n_states).T for _ in range(n_actions)]
+        ),
+        initial_belief=rng.dirichlet(np.ones(n_states)),
+        obs_log_pref=rng.normal(0.0, 2.0, size=n_obs),
+        horizon=horizon,
+    )
 
 
 def hexes(values):
@@ -609,6 +635,12 @@ def test_reward_scores_equal_reference_walk(rng):
         for _ in range(10):
             model = random_model(rng, **options)
             cases.append((model, simulate_history(rng, model)))
+    # the benchmark's shapes: 2,187 policies at t = 0, and 16 policies 2 steps
+    # before the end of a 64-step history
+    wide = benchmark_model(rng, 12, 8, 3, 7)
+    cases.append((wide, simulate_history(rng, wide, 0)))
+    late = benchmark_model(rng, 16, 8, 4, 64)
+    cases.append((late, simulate_history(rng, late, 62)))
     reversed_differs = False
     for model, history in cases:
         reward = rng.normal(size=model.n_obs)
@@ -617,3 +649,89 @@ def test_reward_scores_equal_reference_walk(rng):
         reversed_differs |= got != reference_outputs(model, history, reward, reverse=True)
     # summing each path deepest first changes some bits, which the comparison sees
     assert reversed_differs
+
+
+def test_zero_state_preference_gives_inf_risk_on_both_routes():
+    # State 2 emits observation 1, whose log-preference -800 pulls back to a
+    # state preference exp(-800) that underflows to 0: a node that can reach
+    # state 2 has risk inf, one that cannot has a finite risk.
+    model = ep.make_model(
+        likelihood=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        transitions=np.stack(
+            [np.eye(3), np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])]
+        ),
+        initial_belief=np.array([0.6, 0.4, 0.0]),
+        obs_log_pref=np.array([0.0, -800.0]),
+        horizon=3,
+    )
+    history = ep.History((0,), ())
+    reward = np.array([1.0, -1.0])
+    with np.errstate(divide="ignore"):  # log of the zero preference
+        assert pullback_preferences(model).probs[2] == 0.0
+        policies, rows, rewards = planning._policy_tree(model, history, reward)
+        ref_rows, ref_rewards = reference_policy_tree(model, history, reward)
+        oracle = [ep.efe_breakdown(model, history, policy) for policy in policies]
+    assert [hexes(r.as_row()) for r in rows] == [hexes(r.as_row()) for r in ref_rows]
+    assert hexes(rewards) == hexes(ref_rewards)
+    risks = np.array([r.risk for r in rows])
+    assert np.isinf(risks).any() and np.isfinite(risks).any()
+    assert np.array_equal(np.isinf(risks), [np.isinf(bd.risk) for bd in oracle])
+    assert np.isinf(risks[policies.index(ep.Policy((1, 1, 1)))])
+    assert np.isfinite(risks[policies.index(ep.Policy((0, 0, 0)))])
+
+
+# --- per-policy comparison objectives ------------------------------------------
+
+def reference_alternative_objective(model, history, policy, kind, reward):
+    """Every kind from a full efe_breakdown plus a second filter of the policy."""
+    breakdown = ep.efe_breakdown(model, history, policy)
+    beliefs = ep.filter_and_smooth(model, history, policy)
+    A = model.likelihood.matrix
+    expected_reward = sum(
+        float(reward @ (A @ beliefs[tau].probs))
+        for tau in range(history.t + 1, len(beliefs))
+    )
+    kinds = ep.ObjectiveKind
+    return {
+        kinds.EXPECTED_FREE_ENERGY: -breakdown.total,
+        kinds.INFO_GAIN_ONLY: breakdown.intrinsic,
+        kinds.EXPECTED_REWARD: expected_reward,
+        kinds.REWARD_PLUS_INFO_GAIN: expected_reward + breakdown.intrinsic,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
+def test_alternative_objective_filters_once(monkeypatch, kind):
+    calls = {"pullback_preferences": 0, "filter_and_smooth": 0}
+    for name in calls:
+        original = getattr(planning, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(planning, name, counted)
+    model = ep.tmaze_model()
+    ep.alternative_objective(
+        model, ep.History((0,), ()), ep.Policy((2, 1)), kind, model.preferences.obs_log_pref
+    )
+    # only the kinds that read the breakdown build its preference context
+    pullbacks = 0 if kind is ep.ObjectiveKind.EXPECTED_REWARD else 1
+    assert calls == {"pullback_preferences": pullbacks, "filter_and_smooth": 1}
+
+
+def test_alternative_objective_equals_reference_bit_for_bit(rng):
+    for options in (
+        {},
+        {"deterministic_likelihood": True},
+        {"sparse_transitions": True},
+    ):
+        for _ in range(10):
+            model = random_model(rng, **options)
+            history = simulate_history(rng, model)
+            reward = rng.normal(size=model.n_obs)
+            policy = random_policy(rng, model, history)
+            for kind in ep.ObjectiveKind:
+                got = ep.alternative_objective(model, history, policy, kind, reward)
+                want = reference_alternative_objective(model, history, policy, kind, reward)
+                assert float(got).hex() == float(want).hex()
