@@ -86,6 +86,12 @@ class ExperimentConfig:
         if type(self.gamma) not in (int, float) or not 0 < self.gamma <= sys.float_info.max:
             raise ConfigError(f"gamma must be a finite number > 0, got {self.gamma!r}")
         object.__setattr__(self, "gamma", float(self.gamma))
+        if not isinstance(self.env_overrides, dict):
+            raise ConfigError(
+                f"environment overrides must be an object, got {self.env_overrides!r}"
+            )
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.agents:
             raise ConfigError("at least one agent is required")
         # Records and summaries are keyed by kind, so a repeated kind would
@@ -109,7 +115,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     agents_field = doc.get("agents")
     if not agents_field or not isinstance(agents_field, list):
         raise ConfigError("agents must be a non-empty list")
-    selection_overrides = doc.get("selection", {})
+    if "selection" in doc:
+        raise ConfigError(
+            'a top-level "selection" key is not supported; set it per agent as '
+            '{"kind": ..., "selection": ...}'
+        )
     agents = []
     for entry in agents_field:
         if isinstance(entry, str):
@@ -122,7 +132,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             kind = ObjectiveKind(kind_name)
         except ValueError as exc:
             raise ConfigError(f"unknown agent kind: {kind_name!r}") from exc
-        sel_name = sel_name or selection_overrides.get(kind_name)
         if sel_name is None:
             selection = DEFAULT_SELECTION[kind]
         else:

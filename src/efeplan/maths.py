@@ -6,15 +6,6 @@ import numpy as np
 NORM_ATOL = 1e-12
 
 
-def normalize(x: np.ndarray) -> np.ndarray:
-    """Rescale a non-negative vector to sum to 1."""
-    x = np.asarray(x, dtype=float)
-    total = x.sum()
-    if total <= 0.0:
-        raise ValueError("cannot normalize a vector with non-positive mass")
-    return x / total
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax of finite logits along the last axis."""
     z = np.asarray(logits, dtype=float)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .maths import NORM_ATOL, is_distribution, normalize, softmax
+from .maths import NORM_ATOL, is_distribution, softmax
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -57,14 +57,6 @@ class Likelihood:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix))
 
-    @property
-    def n_obs(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class Transitions:
@@ -74,10 +66,6 @@ class Transitions:
 
     def __post_init__(self):
         object.__setattr__(self, "tensor", _frozen_array(self.tensor))
-
-    @property
-    def n_actions(self) -> int:
-        return self.tensor.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,19 +249,6 @@ def pullback_preferences(model: GenerativeModel) -> Categorical:
     """
     state_log_pref = model.likelihood.matrix.T @ model.preferences.obs_log_pref
     return Categorical(softmax(state_log_pref))
-
-
-def preference_obs_marginal(model: GenerativeModel) -> Categorical:
-    """Observation marginal of the preference model: A @ pullback(C).
-
-    This is the distribution over observations implied by the state preferences
-    together with the shared likelihood. It equals softmax(C) when the
-    likelihood is a permutation, but differs in general; it is the reference
-    against which extrinsic value is scored so that the three-way objective
-    decomposition is exact with a non-negative remainder.
-    """
-    state_pref = pullback_preferences(model)
-    return Categorical(normalize(model.likelihood.matrix @ state_pref.probs))
 
 
 def make_model(

@@ -20,8 +20,8 @@ expected KL from the predictive state posterior to the preference-model state
 posterior, which the chain rule bounds below by zero.
 
 The per-timestep (mean-field in time) form above is canonical; a
-trajectory-exact variant over whole future state sequences is provided for
-cross-checking at desk scale.
+trajectory-exact variant over whole future state sequences, computed in closed
+form by the chain rule, is provided for cross-checking that assumption.
 """
 from __future__ import annotations
 
@@ -36,11 +36,10 @@ import numpy as np
 from .inference import (
     MarginalBeliefs,
     conditional_state_posterior,
-    enumerate_posterior,
     filter_and_smooth,
     predictive_observations,
 )
-from .maths import column_entropies, kl_divergence, safe_log, softmax
+from .maths import column_entropies, entropy, kl_divergence, safe_log, softmax
 from .model import Categorical, GenerativeModel, History, Policy, pullback_preferences
 
 POLICY_CAP = 10**6
@@ -212,12 +211,21 @@ def enumerate_policies(n_actions: int, length: int) -> tuple[Policy, ...]:
 
     Calls for one (n_actions, length) return the same tuple, kept in a cache of
     the last few shapes, so posteriors of one shape share their policies.
-    More than POLICY_CAP policies is a PolicySpaceOverflow.
+    More than POLICY_CAP policies, or a length above POLICY_CAP, is a
+    PolicySpaceOverflow. The count is never built: with at least 2 actions,
+    POLICY_CAP.bit_length() steps already exceed the cap, and below that the
+    power of at most POLICY_CAP + 1 has a bounded number of digits.
     """
-    count = n_actions**length
-    if count > POLICY_CAP:
+    if length > POLICY_CAP or (
+        n_actions > 1
+        and (
+            length >= POLICY_CAP.bit_length()
+            or min(n_actions, POLICY_CAP + 1) ** length > POLICY_CAP
+        )
+    ):
         raise PolicySpaceOverflow(
-            f"{n_actions}^{length} = {count} policies exceeds the cap {POLICY_CAP}"
+            f"{n_actions} actions over {length} steps exceed the cap of "
+            f"{POLICY_CAP} policies"
         )
     return _policy_space(n_actions, length)
 
@@ -280,33 +288,36 @@ def trajectory_objective(
 ) -> TrajectoryObjective:
     """Trajectory-exact objective: risk over the joint future state sequence.
 
-    The future-sequence posterior comes from full enumeration; the preference
-    over a sequence is the product of the i.i.d. per-step state preferences.
+    The preference over a sequence is the product of the i.i.d. per-step state
+    preferences. Under a fixed policy the future states form a Markov chain, so
+    the chain rule gives the joint entropy in closed form from the predictive
+    marginals q_tau and the transition column entropies h_a:
+
+        H(s_{t+1..T}) = H(q_{t+1}) + sum_{tau >= t+2} q_{tau-1} . h_{a_tau}
+        risk          = -H(s_{t+1..T}) - sum_tau E_{q_tau}[ ln pref(s) ]
+
     Ambiguity is unchanged (it is already a per-step expectation). The gap
-    between this risk and the per-timestep form is the statistical dependence
-    of the predicted trajectory across time.
+    between this risk and the per-timestep form is sum_tau I(s_{tau-1}; s_tau),
+    the statistical dependence of the predicted trajectory across time.
     """
-    ctx = _PrefContext(model)
-    post = enumerate_posterior(model, history, policy)
-    t = history.t
-    L = post.sequences.shape[1]
-    future = post.sequences[:, t + 1 :]
-    suffix_probs: dict[tuple[int, ...], float] = {}
-    for seq, p in zip(future, post.probs.probs):
-        key = tuple(int(s) for s in seq)
-        suffix_probs[key] = suffix_probs.get(key, 0.0) + float(p)
-
-    risk = 0.0
-    for seq, p in suffix_probs.items():
-        if p <= 0.0:
-            continue
-        ln_pref = float(np.sum(ctx.ln_pref_states[list(seq)]))
-        risk += p * (np.log(p) - ln_pref)
-
-    marginals = post.marginals(model.n_states)
-    ambiguity = sum(
-        float(marginals[tau].probs @ ctx.col_entropy) for tau in range(t + 1, L)
-    )
+    beliefs = filter_and_smooth(model, history, policy)
+    actions = history.actions + policy.actions
+    B = model.transitions.tensor
+    ln_pref_states = safe_log(pullback_preferences(model).probs)
+    col_entropy = column_entropies(model.likelihood.matrix)
+    joint_entropy = cross_entropy = ambiguity = 0.0
+    for tau in range(history.t + 1, len(beliefs)):
+        q = beliefs[tau].probs
+        if tau == history.t + 1:
+            joint_entropy += entropy(q)
+        else:
+            h_a = column_entropies(B[actions[tau - 1]])
+            joint_entropy += float(beliefs[tau - 1].probs @ h_a)
+        m = q > 0
+        # A state preference that underflowed to 0 makes this term +inf.
+        cross_entropy -= float(q[m] @ ln_pref_states[m])
+        ambiguity += float(q @ col_entropy)
+    risk = cross_entropy - joint_entropy
     return TrajectoryObjective(total=risk + ambiguity, risk=risk, ambiguity=ambiguity)
 
 

@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +183,61 @@ def write_tmaze_doc(tmp_path, **changes):
     return path
 
 
+def test_plan_policy_cap_message_omits_the_count(tmp_path, capsys):
+    # 4^1000000 has 602,060 digits, past the limit of int-to-str conversion
+    path = write_tmaze_doc(tmp_path, horizon=1_000_000)
+    assert main(["validate", str(path)]) == 0  # the cap limits planning, not models
+    assert main(["plan", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "Ok\n"
+    assert captured.err == (
+        "planning failed: 4 actions over 1000000 steps exceed the cap of 1000000 policies\n"
+    )
+
+
+def test_plan_one_action_beyond_the_cap_exit_1(tmp_path, capsys):
+    doc = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))
+    doc.pop("action_labels", None)
+    doc.update(n_actions=1, transitions=doc["transitions"][:1], horizon=10**30)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plan", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("planning failed: 1 actions over") and "cap" in err
+    assert len(err.splitlines()) == 1
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_plan_astronomical_horizon_exit_1_in_bounded_memory(tmp_path):
+    # Building 4^(10^30) grows without bound, so the command runs in a child
+    # whose address space alone is capped: a regression fails this test by
+    # MemoryError or timeout instead of exhausting the host.
+    path = write_tmaze_doc(tmp_path, horizon=10**30)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(ep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    results = {}
+    for command in ("validate", "plan"):
+        results[command] = subprocess.run(
+            [sys.executable, "-m", "efeplan.cli", command, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+    assert results["validate"].returncode == 0 and results["validate"].stdout == "Ok\n"
+    plan = results["plan"]
+    assert plan.returncode == 1 and plan.stdout == ""
+    assert plan.stderr == (
+        f"planning failed: 4 actions over {10**30} steps exceed the cap of 1000000 policies\n"
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("n_states", "8"), ("n_obs", 7.0), ("n_actions", True), ("horizon", "x")],
@@ -333,6 +393,53 @@ def test_run_bad_numeric_config_field_exit_2(tmp_path, capsys, field, text):
         assert captured.err.startswith(f"config failure: {field} must be")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def write_config(tmp_path, **changes):
+    doc = {
+        "environment": {"name": "tmaze"},
+        "agents": ["efe"],
+        "n_trials": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    doc.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def assert_config_failure(path, capsys, expected):
+    for argv in (["run", str(path)], ["trace", str(path), "0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config failure: {expected}")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("value", [True, 0, 1e308, [], {}])
+def test_run_non_string_output_dir_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.delenv("EFEPLAN_OUTPUT_DIR", raising=False)
+    path = write_config(tmp_path, output_dir=value)
+    assert_config_failure(path, capsys, "output_dir must be a string")
+
+
+@pytest.mark.parametrize("value", [[1], "punishment", 3, None])
+def test_run_non_object_overrides_exit_2(tmp_path, capsys, value):
+    path = write_config(tmp_path, environment={"name": "tmaze", "overrides": value})
+    assert_config_failure(path, capsys, "environment overrides must be an object")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [[1], {"reward": "argmax"}, {}])
+def test_run_top_level_selection_key_exit_2(tmp_path, capsys, value):
+    # selection is set per agent; the old top-level map is refused, not ignored
+    path = write_config(tmp_path, agents=["reward"], selection=value)
+    assert_config_failure(
+        path,
+        capsys,
+        'a top-level "selection" key is not supported; '
+        'set it per agent as {"kind": ..., "selection": ...}',
+    )
 
 
 def test_run_overflowing_gamma_exit_1(tmp_path, capsys):

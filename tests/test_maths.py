@@ -10,7 +10,6 @@ from efeplan.maths import (
     is_distribution,
     kl_divergence,
     logsumexp,
-    normalize,
     softmax,
 )
 
@@ -58,9 +57,6 @@ def test_column_entropies_zero_for_deterministic():
     assert np.allclose(column_entropies(A), np.log(2), atol=1e-15)
 
 
-def test_normalize_and_is_distribution():
-    assert np.allclose(normalize([2.0, 2.0]), [0.5, 0.5], atol=0)
+def test_is_distribution():
     assert is_distribution(np.array([0.5, 0.5]))
     assert not is_distribution(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        normalize([0.0, 0.0])

@@ -1,13 +1,17 @@
 """Objective decompositions, policy posteriors, and action selection."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efeplan as ep
 from efeplan import planning
 from efeplan.maths import kl_divergence, softmax
-from efeplan.model import preference_obs_marginal, pullback_preferences
+from efeplan.model import pullback_preferences
 
 from conftest import random_model, simulate_history
 
@@ -74,7 +78,7 @@ def test_residual_matches_direct_preference_posterior_form(rng):
 
         A = model.likelihood.matrix
         pref_states = pullback_preferences(model)
-        m_obs = preference_obs_marginal(model).probs
+        m_obs = A @ pref_states.probs
         beliefs = ep.filter_and_smooth(model, history, policy)
         direct = 0.0
         for tau in range(history.t + 1, len(beliefs)):
@@ -170,6 +174,125 @@ def test_tmaze_trajectory_exact_gap_is_ln2():
         traj = ep.trajectory_objective(model, history, policy)
         assert traj.risk - bd.risk == pytest.approx(np.log(2.0), abs=1e-9)
         assert traj.ambiguity == pytest.approx(bd.ambiguity, abs=1e-12)
+
+
+# --- trajectory-exact objective ------------------------------------------------
+
+def reference_trajectory_objective(model, history, policy):
+    """Trajectory-exact objective: risk over the joint future state sequence.
+
+    The future-sequence posterior comes from full enumeration; the preference
+    over a sequence is the product of the i.i.d. per-step state preferences.
+    Ambiguity is unchanged (it is already a per-step expectation). The gap
+    between this risk and the per-timestep form is the statistical dependence
+    of the predicted trajectory across time.
+    """
+    ctx = planning._PrefContext(model)
+    post = ep.enumerate_posterior(model, history, policy)
+    t = history.t
+    L = post.sequences.shape[1]
+    future = post.sequences[:, t + 1 :]
+    suffix_probs: dict[tuple[int, ...], float] = {}
+    for seq, p in zip(future, post.probs.probs):
+        key = tuple(int(s) for s in seq)
+        suffix_probs[key] = suffix_probs.get(key, 0.0) + float(p)
+
+    risk = 0.0
+    for seq, p in suffix_probs.items():
+        if p <= 0.0:
+            continue
+        ln_pref = float(np.sum(ctx.ln_pref_states[list(seq)]))
+        risk += p * (np.log(p) - ln_pref)
+
+    marginals = post.marginals(model.n_states)
+    ambiguity = sum(
+        float(marginals[tau].probs @ ctx.col_entropy) for tau in range(t + 1, L)
+    )
+    return ep.TrajectoryObjective(total=risk + ambiguity, risk=risk, ambiguity=ambiguity)
+
+
+CORPORA = {
+    "dense": {},
+    "deterministic_likelihood": {"deterministic_likelihood": True},
+    "sparse_transitions": {"sparse_transitions": True},
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), corpus=st.sampled_from(sorted(CORPORA)))
+def test_trajectory_objective_closed_form_properties(seed, corpus):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, **CORPORA[corpus])
+    history = simulate_history(rng, model)
+    policy = random_policy(rng, model, history)
+
+    traj = ep.trajectory_objective(model, history, policy)
+    ref = reference_trajectory_objective(model, history, policy)
+    assert traj.risk == pytest.approx(ref.risk, abs=1e-10)
+    assert traj.ambiguity == pytest.approx(ref.ambiguity, abs=1e-10)
+    assert traj.total == pytest.approx(ref.total, abs=1e-10)
+    bd = ep.efe_breakdown(model, history, policy)
+    assert traj.ambiguity == bd.ambiguity
+    assert traj.risk - bd.risk >= -1e-12  # the gap is a sum of mutual informations
+
+    # identical columns make each future state independent of the one before;
+    # only the first observation is kept, as the model may not produce the rest
+    memoryless = ep.make_model(
+        likelihood=model.likelihood.matrix,
+        transitions=np.repeat(model.transitions.tensor[:, :, :1], model.n_states, axis=2),
+        initial_belief=model.initial_belief.probs,
+        obs_log_pref=model.preferences.obs_log_pref,
+        horizon=model.horizon,
+    )
+    history = ep.History(history.observations[:1], ())
+    policy = random_policy(rng, memoryless, history)
+    traj = ep.trajectory_objective(memoryless, history, policy)
+    bd = ep.efe_breakdown(memoryless, history, policy)
+    assert traj.risk - bd.risk == pytest.approx(0.0, abs=1e-12)
+
+
+def test_trajectory_objective_beyond_the_enumeration_cap():
+    rng = np.random.default_rng(7)
+    model = ep.make_model(
+        likelihood=rng.dirichlet(np.ones(5), size=20).T,
+        transitions=np.stack([rng.dirichlet(np.ones(20), size=20).T for _ in range(2)]),
+        initial_belief=rng.dirichlet(np.ones(20)),
+        obs_log_pref=rng.normal(0.0, 2.0, size=5),
+        horizon=8,
+    )
+    history = ep.History((0,), ())
+    policy = ep.Policy((0, 1) * 4)
+    with pytest.raises(ep.HorizonOverflow):
+        ep.enumerate_posterior(model, history, policy)
+    traj = ep.trajectory_objective(model, history, policy)
+    assert all(np.isfinite(v) for v in (traj.total, traj.risk, traj.ambiguity))
+    assert traj.risk - ep.efe_breakdown(model, history, policy).risk >= -1e-12
+
+
+def test_trajectory_objective_with_no_steps_left():
+    model = ep.tmaze_model()
+    history = ep.History((0, 1, 1), (1, 1))
+    assert ep.trajectory_objective(model, history, ep.Policy(())) == ep.TrajectoryObjective(
+        0.0, 0.0, 0.0
+    )
+
+
+def test_trajectory_objective_underflowed_preference_gives_inf_risk():
+    # obs_log_pref -800 underflows the preference of state 1 to 0, and the
+    # policy reaches state 1 with positive probability
+    model = ep.make_model(
+        likelihood=np.eye(2),
+        transitions=np.full((1, 2, 2), 0.5),
+        initial_belief=[1.0, 0.0],
+        obs_log_pref=[0.0, -800.0],
+        horizon=2,
+    )
+    assert pullback_preferences(model).probs[1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = ep.trajectory_objective(model, ep.History((0,), ()), ep.Policy((0, 0)))
+    assert traj.risk == np.inf and traj.total == np.inf
+    assert traj.ambiguity == 0.0
 
 
 # --- policy posterior and action selection ------------------------------------
