@@ -92,6 +92,17 @@ class ExperimentConfig:
             )
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if self.output_dir == "":
+            raise ConfigError("output_dir must not be empty")
+        # JSON numbers only, and finite: a bool, a string, a NaN or an inf is refused.
+        reward = self.reward_per_obs
+        if reward is not None:
+            if not isinstance(reward, (list, tuple)) or not all(
+                type(r) in (int, float) and -sys.float_info.max <= r <= sys.float_info.max
+                for r in reward
+            ):
+                raise ConfigError(f"reward_per_obs must list finite numbers, got {reward!r}")
+            object.__setattr__(self, "reward_per_obs", tuple(float(r) for r in reward))
         if not self.agents:
             raise ConfigError("at least one agent is required")
         # Records and summaries are keyed by kind, so a repeated kind would
@@ -141,22 +152,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 raise ConfigError(f"unknown selection mode: {sel_name!r}") from exc
         agents.append(AgentSpec(kind=kind, selection=selection))
 
-    reward = doc.get("reward_per_obs")
-    try:
-        return ExperimentConfig(
-            environment=env["name"],
-            env_overrides=env.get("overrides", {}),
-            agents=tuple(agents),
-            gamma=doc.get("gamma", 1.0),
-            n_trials=doc.get("n_trials", 1),
-            master_seed=doc.get("master_seed", 0),
-            reward_per_obs=tuple(float(r) for r in reward) if reward is not None else None,
-            output_dir=doc.get("output_dir"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
+    return ExperimentConfig(
+        environment=env["name"],
+        env_overrides=env.get("overrides", {}),
+        agents=tuple(agents),
+        gamma=doc.get("gamma", 1.0),
+        n_trials=doc.get("n_trials", 1),
+        master_seed=doc.get("master_seed", 0),
+        reward_per_obs=doc.get("reward_per_obs"),
+        output_dir=doc.get("output_dir"),
+    )
 
 
 def load_config(path) -> ExperimentConfig:

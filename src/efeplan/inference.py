@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maths import logsumexp, safe_log, softmax
-from .model import Categorical, GenerativeModel, History, Policy, pullback_preferences
+from .model import Categorical, GenerativeModel, History, Policy
 
 ENUMERATION_CAP = 10**7
 
@@ -239,7 +239,7 @@ def preferential_inference(model: GenerativeModel, history: History) -> Preferen
     pullback for states and softmax(obs_log_pref) for observations.
     """
     past = filter_and_smooth(model, history, policy=None)
-    state_pref = pullback_preferences(model)
+    state_pref = model.planner_context.state_pref
     obs_pref = model.preferences.obs_distribution()
     n_future = model.horizon - history.t
     return PreferencePosterior(

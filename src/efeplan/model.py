@@ -14,13 +14,14 @@ reporting only and never affect computation.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .maths import NORM_ATOL, is_distribution, softmax
+from .maths import NORM_ATOL, column_entropies, is_distribution, safe_log, softmax
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -97,6 +98,38 @@ class GenerativeModel:
     state_labels: tuple[str, ...] | None = None
     obs_labels: tuple[str, ...] | None = None
     action_labels: tuple[str, ...] | None = None
+
+    @functools.cached_property
+    def planner_context(self) -> PlannerContext:
+        """This model's PlannerContext, derived on first use and shared after."""
+        A = self.likelihood.matrix
+        state_pref = pullback_preferences(self)
+        return PlannerContext(
+            state_pref=state_pref,
+            pref_states=state_pref.probs,
+            ln_pref_states=_frozen_array(safe_log(state_pref.probs)),
+            ln_obs_marginal=_frozen_array(safe_log(A @ state_pref.probs)),
+            col_entropy=_frozen_array(column_entropies(A)),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class PlannerContext:
+    """Preference quantities shared by every policy and history of one model.
+
+    state_pref is the likelihood pullback of the observation preferences and
+    pref_states its vector; ln_pref_states is its log, -inf where a preference
+    underflowed to 0; ln_obs_marginal is the log of the preference model's
+    observation marginal A @ pref(s); col_entropy holds the entropy of each
+    likelihood column. The model is frozen and every array is read-only, so
+    nothing can invalidate a context once built.
+    """
+
+    state_pref: Categorical
+    pref_states: np.ndarray
+    ln_pref_states: np.ndarray
+    ln_obs_marginal: np.ndarray
+    col_entropy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,7 +278,7 @@ def pullback_preferences(model: GenerativeModel) -> Categorical:
     state_log_pref[s] = sum_o P(o|s) * obs_log_pref[o]; the returned state
     preference is exp(state_log_pref) normalized. Exact for deterministic
     likelihoods (each state inherits the preference of its one observation),
-    and keeps the risk KL finite since every state retains positive mass.
+    and keeps every state's mass positive unless its exp underflows to 0.
     """
     state_log_pref = model.likelihood.matrix.T @ model.preferences.obs_log_pref
     return Categorical(softmax(state_log_pref))
@@ -284,26 +317,6 @@ def make_model(
 
 class ModelFormatError(ValueError):
     """The model document could not be parsed into the expected fields."""
-
-
-def model_to_dict(model: GenerativeModel) -> dict:
-    doc = {
-        "n_states": model.n_states,
-        "n_obs": model.n_obs,
-        "n_actions": model.n_actions,
-        "horizon": model.horizon,
-        "likelihood": model.likelihood.matrix.tolist(),
-        "transitions": model.transitions.tensor.tolist(),
-        "initial_belief": model.initial_belief.probs.tolist(),
-        "obs_log_pref": model.preferences.obs_log_pref.tolist(),
-    }
-    if model.state_labels:
-        doc["state_labels"] = list(model.state_labels)
-    if model.obs_labels:
-        doc["obs_labels"] = list(model.obs_labels)
-    if model.action_labels:
-        doc["action_labels"] = list(model.action_labels)
-    return doc
 
 
 def model_from_dict(doc: dict) -> GenerativeModel:
@@ -379,8 +392,3 @@ def load_model(path) -> GenerativeModel:
             raise ModelFormatError(f"malformed document: {exc}") from exc
     return model_from_dict(doc)
 
-
-def save_model(model: GenerativeModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")

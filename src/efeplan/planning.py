@@ -39,8 +39,8 @@ from .inference import (
     filter_and_smooth,
     predictive_observations,
 )
-from .maths import column_entropies, entropy, kl_divergence, safe_log, softmax
-from .model import Categorical, GenerativeModel, History, Policy, pullback_preferences
+from .maths import column_entropies, entropy, kl_divergence, softmax
+from .model import Categorical, GenerativeModel, History, PlannerContext, Policy
 
 POLICY_CAP = 10**6
 
@@ -114,22 +114,8 @@ class PolicyPosterior:
     probs: Categorical
 
 
-class _PrefContext:
-    """Preference quantities shared across all policies of one model."""
-
-    def __init__(self, model: GenerativeModel):
-        state_pref = pullback_preferences(model)
-        self.A = model.likelihood.matrix
-        self.B = model.transitions.tensor
-        self.pref_states = state_pref.probs
-        self.ln_pref_states = np.log(self.pref_states)
-        self.obs_marginal = self.A @ self.pref_states
-        self.ln_obs_marginal = safe_log(self.obs_marginal)
-        self.col_entropy = column_entropies(self.A)
-
-
 def _step_terms(
-    ctx: _PrefContext, q: np.ndarray, qo: np.ndarray
+    ctx: PlannerContext, q: np.ndarray, qo: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(risk, ambiguity, extrinsic, intrinsic) for one predictive state marginal.
 
@@ -187,7 +173,7 @@ def _breakdown_of_beliefs(
     model: GenerativeModel, history: History, beliefs: MarginalBeliefs
 ) -> EfeBreakdown:
     """efe_breakdown of the policy whose smoothed beliefs are given."""
-    ctx = _PrefContext(model)
+    ctx = model.planner_context
     obs_marginals = predictive_observations(model, beliefs)
     sums = (0.0, 0.0, 0.0, 0.0)
     for tau in range(history.t + 1, len(beliefs)):
@@ -251,15 +237,16 @@ def _policy_tree(
     """
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
-    ctx = _PrefContext(model)
+    ctx = model.planner_context
+    A, B = model.likelihood.matrix, model.transitions.tensor
     root = filter_and_smooth(model, history).per_time[history.t].probs
     level = [(root, (0.0, 0.0, 0.0, 0.0), 0.0)]
     for _ in range(depth):
         children = []
         for parent, sums, earned in level:
-            for B_a in ctx.B:
+            for B_a in B:
                 q = B_a @ parent
-                qo = ctx.A @ q
+                qo = A @ q
                 risk, ambiguity, extrinsic, intrinsic = _step_terms(ctx, q, qo)
                 child_sums = (
                     sums[0] + risk,
@@ -303,8 +290,7 @@ def trajectory_objective(
     beliefs = filter_and_smooth(model, history, policy)
     actions = history.actions + policy.actions
     B = model.transitions.tensor
-    ln_pref_states = safe_log(pullback_preferences(model).probs)
-    col_entropy = column_entropies(model.likelihood.matrix)
+    ctx = model.planner_context
     joint_entropy = cross_entropy = ambiguity = 0.0
     for tau in range(history.t + 1, len(beliefs)):
         q = beliefs[tau].probs
@@ -315,8 +301,8 @@ def trajectory_objective(
             joint_entropy += float(beliefs[tau - 1].probs @ h_a)
         m = q > 0
         # A state preference that underflowed to 0 makes this term +inf.
-        cross_entropy -= float(q[m] @ ln_pref_states[m])
-        ambiguity += float(q @ col_entropy)
+        cross_entropy -= float(q[m] @ ctx.ln_pref_states[m])
+        ambiguity += float(q @ ctx.col_entropy)
     risk = cross_entropy - joint_entropy
     return TrajectoryObjective(total=risk + ambiguity, risk=risk, ambiguity=ambiguity)
 

@@ -66,6 +66,9 @@ def test_traced_run_and_decisions_record_every_layer(tmp_path):
     assert missing == []
     assert metrics["planning.efe_table.nodes"][0] > 0
 
+    # plan-grid and late-decision draw a fresh model per decision, and only a
+    # model's first decision derives its planner context
+    model = random_model(rng, max_states=4, max_actions=3, max_horizon=3)
     with tracing.Tracer() as tracer:
         decide_both_kinds(model, rng)
     _, _, missing = tracing.layer_metrics(tracer.spans, 0.0)

@@ -15,14 +15,16 @@ import pytest
 import efeplan as ep
 from efeplan.cli import main
 from efeplan.data import data_path
-from efeplan.model import model_to_dict
+
+
+def tmaze_doc() -> dict:
+    """The bundled T-maze model document, freshly parsed."""
+    return json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
-def tmaze_path(tmp_path):
-    path = tmp_path / "tmaze.json"
-    ep.save_model(ep.tmaze_model(), path)
-    return path
+def tmaze_path():
+    return data_path("tmaze.json")
 
 
 @pytest.fixture
@@ -46,7 +48,7 @@ def test_validate_bundled_model_exit_0(capsys):
 
 
 def test_validate_bad_column_exit_1(tmp_path, capsys):
-    doc = model_to_dict(ep.tmaze_model())
+    doc = tmaze_doc()
     doc["likelihood"][0][0] = 0.9  # column 0 now sums to 0.9
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -56,7 +58,7 @@ def test_validate_bad_column_exit_1(tmp_path, capsys):
 
 
 def test_validate_near_stochastic_column_exit_1(tmp_path, capsys):
-    doc = model_to_dict(ep.tmaze_model())
+    doc = tmaze_doc()
     doc["likelihood"] = (np.array(doc["likelihood"]) * (1 + 5e-10)).tolist()
     path = tmp_path / "loose.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -176,7 +178,7 @@ def test_plan_history_at_horizon_exit_1(tmaze_path, capsys):
 
 
 def write_tmaze_doc(tmp_path, **changes):
-    doc = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))
+    doc = tmaze_doc()
     doc.update(changes)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -196,7 +198,7 @@ def test_plan_policy_cap_message_omits_the_count(tmp_path, capsys):
 
 
 def test_plan_one_action_beyond_the_cap_exit_1(tmp_path, capsys):
-    doc = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))
+    doc = tmaze_doc()
     doc.pop("action_labels", None)
     doc.update(n_actions=1, transitions=doc["transitions"][:1], horizon=10**30)
     path = tmp_path / "model.json"
@@ -269,7 +271,7 @@ def test_validate_label_table_wrong_length_exit_1(tmp_path, capsys, field):
 
 
 def _bad_likelihood_columns():
-    likelihood = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))["likelihood"]
+    likelihood = tmaze_doc()["likelihood"]
     likelihood[0][0] = 0.9  # column 0 now sums to 0.9
     likelihood[0][1] = 0.8  # column 1 now sums to 0.8
     return likelihood
@@ -421,6 +423,28 @@ def test_run_non_string_output_dir_exit_2(tmp_path, capsys, monkeypatch, value):
     monkeypatch.delenv("EFEPLAN_OUTPUT_DIR", raising=False)
     path = write_config(tmp_path, output_dir=value)
     assert_config_failure(path, capsys, "output_dir must be a string")
+
+
+def test_run_empty_output_dir_exit_2(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory, which a config cannot mean to name
+    monkeypatch.delenv("EFEPLAN_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, output_dir="")
+    assert_config_failure(path, capsys, "output_dir must not be empty")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# one bad entry among the T-maze's seven observations, or no list at all
+BAD_REWARD_ENTRIES = ('"inf"', '"1.5"', "NaN", "Infinity", "-Infinity", "true", "null", "1e400")
+BAD_REWARDS = [f"[1, 2, 3, 4, 5, 6, {entry}]" for entry in BAD_REWARD_ENTRIES + ("[1]",)]
+
+
+@pytest.mark.parametrize("text", BAD_REWARDS + ["5", '"1234567"', '{"a": 1}'])
+def test_run_non_finite_reward_per_obs_exit_2(tmp_path, capsys, text):
+    path = write_config(tmp_path, agents=["reward"], reward_per_obs="X")
+    path.write_text(path.read_text(encoding="utf-8").replace('"X"', text), encoding="utf-8")
+    assert_config_failure(path, capsys, "reward_per_obs must list finite numbers")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [[1], "punishment", 3, None])

@@ -179,6 +179,21 @@ def test_experiment_plans_each_distinct_history_once(monkeypatch):
     assert set(calls) == distinct
 
 
+def test_fig2_experiment_pulls_back_preferences_once(monkeypatch):
+    # every plan, final smoothing and preference posterior of the experiment
+    # shares the one model's planner context
+    calls = []
+    original = ep.model.pullback_preferences
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(ep.model, "pullback_preferences", counting)
+    ep.run_experiment(ep.load_config(data_path("fig2.json")))
+    assert len(calls) == 1
+
+
 def test_experiment_records_match_fresh_trials():
     cfg = small_config(n_trials=12)
     result = ep.run_experiment(cfg)

@@ -1,11 +1,14 @@
-"""Model validation, preference pullback, and model-file round-trips."""
+"""Model validation, preference pullback, the planner context, and model loading."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 import efeplan as ep
-from efeplan.model import model_from_dict, model_to_dict
+from efeplan.data import data_path
+from efeplan.model import model_from_dict
 
 from conftest import random_model
 
@@ -196,19 +199,40 @@ def test_obs_preference_shift_invariance(rng):
         assert np.allclose(p0.probs, p1.probs, atol=1e-10)
 
 
-def test_model_file_roundtrip(tmp_path):
+def test_planner_context_is_built_once_and_read_only(rng):
+    m = random_model(rng)
+    ctx = m.planner_context
+    assert m.planner_context is ctx
+    assert np.array_equal(ctx.pref_states, ep.pullback_preferences(m).probs)
+    assert ctx.state_pref.probs is ctx.pref_states
+    for array in (ctx.pref_states, ctx.ln_pref_states, ctx.ln_obs_marginal, ctx.col_entropy):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_bundled_tmaze_file_equals_tmaze_model():
     m = ep.tmaze_model()
-    path = tmp_path / "model.json"
-    ep.save_model(m, path)
-    loaded = ep.load_model(path)
+    loaded = ep.load_model(data_path("tmaze.json"))
     assert np.array_equal(loaded.likelihood.matrix, m.likelihood.matrix)
     assert np.array_equal(loaded.transitions.tensor, m.transitions.tensor)
-    assert loaded.obs_labels == m.obs_labels
-    assert loaded.horizon == m.horizon
+    assert np.array_equal(loaded.initial_belief.probs, m.initial_belief.probs)
+    assert np.array_equal(loaded.preferences.obs_log_pref, m.preferences.obs_log_pref)
+    assert (loaded.state_labels, loaded.obs_labels, loaded.action_labels) == (
+        m.state_labels,
+        m.obs_labels,
+        m.action_labels,
+    )
+    assert (loaded.n_states, loaded.n_obs, loaded.n_actions, loaded.horizon) == (
+        m.n_states,
+        m.n_obs,
+        m.n_actions,
+        m.horizon,
+    )
 
 
 def test_loader_rejects_invalid_model(tmp_path):
-    doc = model_to_dict(ep.tmaze_model())
+    doc = json.loads(data_path("tmaze.json").read_text(encoding="utf-8"))
     doc["likelihood"][0][0] = 0.5  # break column stochasticity
     with pytest.raises(ValueError, match="NotStochastic"):
         model_from_dict(doc)

@@ -1,6 +1,7 @@
 """Objective decompositions, policy posteriors, and action selection."""
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import efeplan as ep
-from efeplan import planning
+from efeplan import cli, planning
 from efeplan.maths import kl_divergence, softmax
 from efeplan.model import pullback_preferences
 
@@ -187,7 +188,7 @@ def reference_trajectory_objective(model, history, policy):
     between this risk and the per-timestep form is the statistical dependence
     of the predicted trajectory across time.
     """
-    ctx = planning._PrefContext(model)
+    ctx = model.planner_context
     post = ep.enumerate_posterior(model, history, policy)
     t = history.t
     L = post.sequences.shape[1]
@@ -625,7 +626,8 @@ def reference_policy_tree(model, history, reward, reverse=False):
     a new tree node, scored once and cached. Each policy then sums its nodes'
     terms from 0 in depth order, or deepest first when reverse is set.
     """
-    ctx = planning._PrefContext(model)
+    ctx = model.planner_context
+    A, B = model.likelihood.matrix, model.transitions.tensor
     policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
     root = ep.filter_and_smooth(model, history).per_time[history.t].probs
     belief_cache = {(): root}
@@ -640,8 +642,8 @@ def reference_policy_tree(model, history, reward, reverse=False):
             parent = belief_cache[prefix]
             prefix = prefix + (a,)
             if prefix not in belief_cache:
-                q = belief_cache[prefix] = ctx.B[a] @ parent
-                qo = ctx.A @ q
+                q = belief_cache[prefix] = B[a] @ parent
+                qo = A @ q
                 term_cache[prefix] = reference_step_terms(ctx, q, qo)
                 reward_cache[prefix] = float(reward @ qo)
             path.append(prefix)
@@ -703,22 +705,43 @@ def tree_outputs(model, history, reward):
     return out
 
 
-@pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
-def test_policy_scores_filters_and_pulls_back_once(monkeypatch, kind):
+def count_calls(monkeypatch) -> dict:
+    """Count pullbacks where the planner context calls it, and planning's filters."""
     calls = {"pullback_preferences": 0, "filter_and_smooth": 0}
-    for name in calls:
-        original = getattr(planning, name)
+    for module, name in ((ep.model, "pullback_preferences"), (planning, "filter_and_smooth")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(planning, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
+def test_policy_scores_filters_and_pulls_back_once(monkeypatch, kind):
+    calls = count_calls(monkeypatch)
     model = ep.tmaze_model()
     planning.policy_scores(
         model, ep.History((0,), ()), kind, model.preferences.obs_log_pref
     )
     assert calls == {"pullback_preferences": 1, "filter_and_smooth": 1}
+
+
+def test_one_model_pulls_back_once_across_calls(monkeypatch):
+    # the planner context is derived on first use and shared by every later
+    # call that holds the same model
+    calls = count_calls(monkeypatch)
+    model = ep.tmaze_model()
+    history = ep.History((0,), ())
+    reward = model.preferences.obs_log_pref
+    planning.policy_scores(model, history, ep.ObjectiveKind.EXPECTED_FREE_ENERGY)
+    planning.policy_scores(model, history, ep.ObjectiveKind.EXPECTED_REWARD, reward)
+    ep.efe_breakdown(model, history, ep.Policy((2, 1)))
+    ep.trajectory_objective(model, history, ep.Policy((2, 1)))
+    ep.preferential_inference(model, history)
+    assert calls["pullback_preferences"] == 1
 
 
 def test_policy_scores_match_per_policy_oracles(rng):
@@ -774,26 +797,33 @@ def test_reward_scores_equal_reference_walk(rng):
     assert reversed_differs
 
 
+# State 2 emits observation 1, whose log-preference -800 pulls back to a
+# state preference exp(-800) that underflows to 0.
+ZERO_PREFERENCE_DOC = {
+    "n_states": 3,
+    "n_obs": 2,
+    "n_actions": 2,
+    "horizon": 3,
+    "likelihood": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "transitions": [
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+    ],
+    "initial_belief": [0.6, 0.4, 0.0],
+    "obs_log_pref": [0.0, -800.0],
+}
+
+
 def test_zero_state_preference_gives_inf_risk_on_both_routes():
-    # State 2 emits observation 1, whose log-preference -800 pulls back to a
-    # state preference exp(-800) that underflows to 0: a node that can reach
-    # state 2 has risk inf, one that cannot has a finite risk.
-    model = ep.make_model(
-        likelihood=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        transitions=np.stack(
-            [np.eye(3), np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])]
-        ),
-        initial_belief=np.array([0.6, 0.4, 0.0]),
-        obs_log_pref=np.array([0.0, -800.0]),
-        horizon=3,
-    )
+    # a node that can reach state 2 has risk inf, one that cannot has a
+    # finite risk
+    model = ep.model_from_dict(ZERO_PREFERENCE_DOC)
     history = ep.History((0,), ())
     reward = np.array([1.0, -1.0])
-    with np.errstate(divide="ignore"):  # log of the zero preference
-        assert pullback_preferences(model).probs[2] == 0.0
-        policies, rows, rewards = planning._policy_tree(model, history, reward)
-        ref_rows, ref_rewards = reference_policy_tree(model, history, reward)
-        oracle = [ep.efe_breakdown(model, history, policy) for policy in policies]
+    assert pullback_preferences(model).probs[2] == 0.0
+    policies, rows, rewards = planning._policy_tree(model, history, reward)
+    ref_rows, ref_rewards = reference_policy_tree(model, history, reward)
+    oracle = [ep.efe_breakdown(model, history, policy) for policy in policies]
     assert [hexes(r.as_row()) for r in rows] == [hexes(r.as_row()) for r in ref_rows]
     assert hexes(rewards) == hexes(ref_rewards)
     risks = np.array([r.risk for r in rows])
@@ -801,6 +831,20 @@ def test_zero_state_preference_gives_inf_risk_on_both_routes():
     assert np.array_equal(np.isinf(risks), [np.isinf(bd.risk) for bd in oracle])
     assert np.isinf(risks[policies.index(ep.Policy((1, 1, 1)))])
     assert np.isfinite(risks[policies.index(ep.Policy((0, 0, 0)))])
+
+
+def test_plan_with_zero_state_preference_prints_no_warning(tmp_path, capsys):
+    # the planner context takes the log of the underflowed preference
+    # without a divide warning
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(ZERO_PREFERENCE_DOC), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["plan", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()
+    assert len(rows) == 1 + 2**3 and rows[-1].split(",")[1] == "inf"
 
 
 # --- per-policy comparison objectives ------------------------------------------
@@ -825,15 +869,7 @@ def reference_alternative_objective(model, history, policy, kind, reward):
 
 @pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
 def test_alternative_objective_filters_once(monkeypatch, kind):
-    calls = {"pullback_preferences": 0, "filter_and_smooth": 0}
-    for name in calls:
-        original = getattr(planning, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(planning, name, counted)
+    calls = count_calls(monkeypatch)
     model = ep.tmaze_model()
     ep.alternative_objective(
         model, ep.History((0,), ()), ep.Policy((2, 1)), kind, model.preferences.obs_log_pref
