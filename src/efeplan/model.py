@@ -49,6 +49,26 @@ class Categorical:
         return self.probs.shape[0]
 
 
+def categorical_rows(block) -> tuple[Categorical, ...]:
+    """One Categorical per row of a 2-D block, each a read-only view of one frozen copy.
+
+    Every row is checked in one vectorized pass by the rule `Categorical`
+    applies (non-negative, summing to 1 within NORM_ATOL), which replaces one
+    copy and one check per row.
+    """
+    block = _frozen_array(block)
+    if not ((block >= 0).all() and (np.abs(block.sum(axis=1) - 1.0) <= NORM_ATOL).all()):
+        raise ValueError(
+            f"probabilities must be non-negative and sum to 1 within {NORM_ATOL}"
+        )
+    rows = []
+    for row in block:
+        c = object.__new__(Categorical)
+        object.__setattr__(c, "probs", row)
+        rows.append(c)
+    return tuple(rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Likelihood:
     """Observation model P(o|s); every column is a distribution over observations."""

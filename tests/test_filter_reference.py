@@ -182,6 +182,85 @@ def test_filter_bit_identical_to_reference_on_tmaze_histories():
         assert_same_outcome(model, simulate_history(rng, model, model.horizon))
 
 
+def _late_case(rng, shape, sparse: bool, tail: bool):
+    """A benchmark-sized model decided at t = H-2, optionally with a 2-step policy."""
+    S, O, n_actions, H = shape
+    model = ep.make_model(
+        likelihood=_stochastic(rng, O, S, sparse),
+        transitions=np.stack([_stochastic(rng, S, S, sparse) for _ in range(n_actions)]),
+        initial_belief=_stochastic(rng, S, 1, sparse)[:, 0],
+        obs_log_pref=np.zeros(O),
+        horizon=H,
+    )
+    history = simulate_history(rng, model, H - 2)
+    policy = ep.Policy(tuple(int(a) for a in rng.integers(0, n_actions, size=2))) if tail else None
+    return model, history, policy
+
+
+@pytest.mark.parametrize("shape", [(16, 8, 4, 64), (32, 12, 4, 96)])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_filter_bit_identical_to_reference_on_long_histories(shape, sparse):
+    rng = np.random.default_rng(shape[0] + 100 * sparse)
+    for tail in (False, False, True):
+        model, history, policy = _late_case(rng, shape, sparse, tail)
+        got = assert_same_outcome(model, history, policy)
+        assert len(got) == shape[3] - 1 + 2 * tail
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "actions-middle", "actions-last"])
+def test_filter_bit_identical_to_reference_for_every_memory_layout(layout):
+    """The order of a reduction's sum follows the layout of the array it reduces.
+
+    The per-step form reduces fresh arrays laid out like logB[a], so the filter
+    must reduce the same layout: a C-ordered scratch would sum the rows of a
+    Fortran-ordered B pairwise instead of in sequence and change the last bits.
+    """
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        model, history, policy = _late_case(rng, (24, 6, 3, 40), sparse=False, tail=True)
+        B = np.ascontiguousarray(model.transitions.tensor)
+        B = {
+            "C": B,
+            "F": np.asfortranarray(B),
+            "actions-middle": np.ascontiguousarray(B.transpose(1, 0, 2)).transpose(1, 0, 2),
+            "actions-last": np.ascontiguousarray(B.transpose(2, 1, 0)).transpose(2, 1, 0),
+        }[layout]
+        model = ep.make_model(
+            likelihood=model.likelihood.matrix,
+            transitions=B,
+            initial_belief=model.initial_belief.probs,
+            obs_log_pref=np.zeros(model.n_obs),
+            horizon=model.horizon,
+        )
+        assert model.transitions.tensor.strides == B.strides
+        assert_same_outcome(model, history, policy)
+
+
+def test_filter_marginals_are_read_only_rows_of_one_block():
+    rng = np.random.default_rng(8)
+    model, history, policy = _late_case(rng, (16, 8, 4, 64), sparse=False, tail=True)
+    beliefs = ep.filter_and_smooth(model, history, policy)
+    block = beliefs[0].probs.base
+    assert block is not None and block.shape == (len(beliefs), model.n_states)
+    for b in beliefs.per_time:
+        assert b.probs.base is block
+        assert not b.probs.flags.writeable
+        with pytest.raises(ValueError):
+            b.probs[0] = 0.5
+
+
+def test_filter_caches_nothing_on_the_model():
+    """Per-call log tables stay off the model: a caller that keeps models keeps them."""
+    rng = np.random.default_rng(9)
+    model, history, policy = _late_case(rng, (16, 8, 4, 64), sparse=False, tail=True)
+    before = dict(vars(model))
+    ep.filter_and_smooth(model, history, policy)
+    ep.filter_and_smooth(model, history)
+    after = vars(model)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
 @pytest.mark.parametrize(
     "x, axis",
     [

@@ -149,6 +149,55 @@ def test_zero_evidence_raises():
         ep.enumerate_posterior(model, ep.History((1,), ()))
 
 
+def _zero_evidence_at(route, model, history):
+    """(timestep, observation) of the ZeroEvidence the route raises, else None."""
+    try:
+        route(model, history)
+    except ep.ZeroEvidence as exc:
+        return exc.timestep, exc.observation
+    return None
+
+
+@pytest.mark.parametrize(
+    "observations, expected",
+    [
+        ((1, 1, 1), (0, 1)),  # impossible from the start
+        ((0, 1, 0), (1, 1)),  # o_1 is impossible; o_2 = 0 alone would be possible
+    ],
+)
+def test_zero_evidence_names_the_first_impossible_observation(observations, expected):
+    model = ep.make_model(
+        likelihood=np.eye(2),
+        transitions=np.eye(2)[None],
+        initial_belief=[1.0, 0.0],
+        obs_log_pref=np.zeros(2),
+        horizon=2,
+    )
+    history = ep.History(observations, (0, 0))
+    assert _zero_evidence_at(ep.filter_and_smooth, model, history) == expected
+    assert _zero_evidence_at(ep.enumerate_posterior, model, history) == expected
+
+
+def test_enumeration_and_filter_blame_the_same_observation():
+    rng = np.random.default_rng(13)
+    raised = 0
+    for _ in range(150):
+        model = random_model(
+            rng, max_states=4, max_obs=4, max_horizon=5,
+            deterministic_likelihood=True, sparse_transitions=True,
+        )
+        steps = int(rng.integers(0, model.horizon + 1))
+        history = ep.History(
+            tuple(int(o) for o in rng.integers(0, model.n_obs, size=steps + 1)),
+            tuple(int(a) for a in rng.integers(0, model.n_actions, size=steps)),
+        )
+        want = _zero_evidence_at(ep.filter_and_smooth, model, history)
+        assert _zero_evidence_at(ep.enumerate_posterior, model, history) == want
+        raised += want is not None and want[0] < steps
+    # Enough raises come before the last observation to tell the routes apart.
+    assert raised >= 20, raised
+
+
 def test_predictive_observations_dirac_belief_gives_likelihood_column(rng):
     model = random_model(rng)
     s = 1

@@ -8,7 +8,7 @@ import pytest
 
 import efeplan as ep
 from efeplan.data import data_path
-from efeplan.model import model_from_dict
+from efeplan.model import NORM_ATOL, categorical_rows, model_from_dict
 
 from conftest import random_model
 
@@ -209,6 +209,54 @@ def test_planner_context_is_built_once_and_read_only(rng):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_categorical_rows_are_read_only_views_of_one_frozen_copy():
+    block = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+    rows = categorical_rows(block)
+    assert [type(c) for c in rows] == [ep.Categorical] * 3
+    base = rows[0].probs.base
+    assert base is not block and not base.flags.writeable
+    for c, want in zip(rows, block):
+        assert c.probs.base is base and np.array_equal(c.probs, want)
+        with pytest.raises(ValueError):
+            c.probs[0] = 0.0
+    block[0, 0] = 0.5  # the caller's array stays its own
+    assert rows[0].probs[0] == 0.25
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [[-1e-300, 1.0], [0.5, 0.5 + 2 * NORM_ATOL], [0.5, 0.5 - 2 * NORM_ATOL], [np.nan, 1.0]],
+    ids=["negative", "over", "under", "nan"],
+)
+def test_categorical_rows_reject_a_bad_row(bad_row):
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        categorical_rows(np.array([[0.5, 0.5], bad_row, [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        ep.Categorical(np.array(bad_row))
+
+
+def test_categorical_rows_accept_exactly_what_categorical_accepts():
+    rng = np.random.default_rng(4)
+    verdicts = set()
+    for n in (1, 2, 7, 9, 32, 33):
+        block = rng.dirichlet(np.ones(n), size=64)
+        block += rng.choice([-3, -1, 0, 1, 3], size=(64, 1)) * NORM_ATOL / n
+        for row in block:
+            try:
+                ep.Categorical(row)
+                row_ok = True
+            except ValueError:
+                row_ok = False
+            try:
+                categorical_rows(np.stack([row, row, row]))
+                block_ok = True
+            except ValueError:
+                block_ok = False
+            assert row_ok == block_ok
+            verdicts.add(row_ok)
+    assert verdicts == {True, False}
 
 
 def test_bundled_tmaze_file_equals_tmaze_model():
