@@ -196,8 +196,20 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one stderr line, exit 2.
+
+    The usage text is left out, and a line break in an echoed argument is
+    escaped.
+    """
+
+    def error(self, message: str):
+        message = "\\n".join(message.splitlines())
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="efeplan",
         description="Expected-free-energy planning over discrete generative models.",
     )

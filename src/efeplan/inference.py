@@ -166,12 +166,23 @@ def enumerate_posterior(
 
 
 def filter_and_smooth(
-    model: GenerativeModel, history: History, policy: Policy | None = None
+    model: GenerativeModel,
+    history: History,
+    policy: Policy | None = None,
+    *,
+    smooth: bool = True,
 ) -> MarginalBeliefs:
     """Per-timestep exact smoothed/predictive marginals via forward-backward.
 
     Timesteps up to t are smoothed against the observed prefix; timesteps past
     t (no evidence yet) come out as predictive marginals under the policy.
+
+    With smooth=False the call returns after the forward pass, with the
+    filtering marginals q(s_tau | o_0..tau): no backward messages are built.
+    At the last observed step t that is the smoothed marginal bit for bit
+    when no policy follows: the backward message at the last step is +0.0
+    everywhere, so adding it changes no logit. Planning roots its policy tree
+    there.
 
     Each step is `maths.logsumexp` fused in place: when every row maximum
     (forward) or column maximum (backward) is finite, the step computes
@@ -222,6 +233,9 @@ def filter_and_smooth(
         if tau < n_obs_steps:
             la += logA[observations[tau]]
             _log_normalize(la, tau, observations[tau])
+
+    if not smooth:
+        return MarginalBeliefs(categorical_rows(softmax(alphas)))
 
     # Backward pass; steps without evidence contribute nothing beyond dynamics.
     betas = np.zeros((L, S))

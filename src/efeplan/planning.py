@@ -226,8 +226,11 @@ def _policy_tree(
 ) -> tuple[tuple[Policy, ...], list[EfeBreakdown], np.ndarray | None]:
     """Breakdowns for every remaining policy, sharing work across common prefixes.
 
-    Predictive marginals for timesteps past t equal the filtered belief pushed
-    through the transition tensor, so the tree is expanded one depth at a time,
+    The root is the filtered belief at t, from one forward pass with no
+    backward pass (`filter_and_smooth(..., smooth=False)`): at the last
+    observed step the smoothed belief equals it bit for bit. Predictive
+    marginals for timesteps past t equal that belief pushed through the
+    transition tensor, so the tree is expanded one depth at a time,
     with one matrix-vector product and one set of per-step terms per node. Each
     node carries its path's running term sums, added in depth order from +0.0;
     listing every parent's children in action order leaves the last level in
@@ -239,7 +242,7 @@ def _policy_tree(
     policies = enumerate_policies(model.n_actions, depth)
     ctx = model.planner_context
     A, B = model.likelihood.matrix, model.transitions.tensor
-    root = filter_and_smooth(model, history).per_time[history.t].probs
+    root = filter_and_smooth(model, history, smooth=False).per_time[history.t].probs
     level = [(root, (0.0, 0.0, 0.0, 0.0), 0.0)]
     for _ in range(depth):
         children = []

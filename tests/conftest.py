@@ -1,10 +1,17 @@
-"""Shared factories for randomized model corpora used across the suite."""
+"""Shared factories for randomized model corpora, and the suite's hypothesis profile."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from efeplan.model import GenerativeModel, History, make_model
+
+# Every property test replays the same examples on every run: no deadline (a
+# slow host must not fail a correct example), derandomized generation and no
+# example database, so a failure reproduces from the code alone.
+settings.register_profile("efeplan", deadline=None, derandomize=True, database=None)
+settings.load_profile("efeplan")
 
 
 def random_model(

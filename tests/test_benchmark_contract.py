@@ -75,3 +75,19 @@ def test_traced_run_and_decisions_record_every_layer(tmp_path):
     assert [name for name in missing if name in tracing.DECISION_SPANS] == []
     kinds = {s.note for s in tracer.spans if s.name == "planning.policy_scores"}
     assert kinds == {"efe", "reward"}
+    # each decision filters its history once, inside the scorer, so a scorer
+    # that stops reaching filter_and_smooth fails here, not in the traced run
+    assert filter_spans_per_scorer(tracer.spans) == [1, 1]
+
+
+def filter_spans_per_scorer(spans) -> list[int]:
+    """Per `planning.policy_scores` span, its `inference.filter_and_smooth` descendants."""
+    counts = {i: 0 for i, s in enumerate(spans) if s.name == "planning.policy_scores"}
+    for span in spans:
+        if span.name == "inference.filter_and_smooth":
+            parent = span.parent
+            while parent >= 0 and parent not in counts:
+                parent = spans[parent].parent
+            if parent >= 0:
+                counts[parent] += 1
+    return list(counts.values())

@@ -528,6 +528,38 @@ def test_unknown_subcommand_is_usage_error():
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["plan"],
+        ["plan", "model.json", "--gamma", "abc"],
+        ["plan", "model.json", "--obs"],
+        ["run", "config.json", "--bogus"],
+        ["trace", "config.json", "first"],
+        ["validate", "model.json", "two\nlines"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "no-model",
+        "bad-gamma",
+        "obs-without-value",
+        "unknown-flag",
+        "bad-trial",
+        "extra-argument-with-line-break",
+    ],
+)
+def test_usage_error_prints_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("efeplan")
+    assert ": error: " in captured.err and len(captured.err.splitlines()) == 1
+
+
 def test_bundled_fig2_config_loads():
     cfg = ep.load_config(data_path("fig2.json"))
     assert cfg.n_trials == 50

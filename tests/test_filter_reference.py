@@ -3,7 +3,9 @@
 `reference_logsumexp`, `reference_softmax` and `reference_filter_and_smooth`
 are the per-step list-based implementations that the library replaced. The
 library keeps the same operations in the same order, so every marginal must
-be bit-for-bit equal, not merely close.
+be bit-for-bit equal, not merely close. The forward-only pass
+(`smooth=False`) that roots the policy tree must give the reference's
+smoothed row at the last observed step, bit for bit.
 """
 from __future__ import annotations
 
@@ -114,6 +116,27 @@ def assert_same_outcome(model, history, policy=None):
     return got
 
 
+def forward_only(model, history, policy=None):
+    return ep.filter_and_smooth(model, history, policy, smooth=False)
+
+
+def assert_same_root(model, history):
+    """Assert the forward-only belief at t is the reference's smoothed one, bit for bit.
+
+    Returns the root, or the (timestep, observation) of the ZeroEvidence that
+    both routes raise.
+    """
+    got = _outcome(forward_only, model, history, None)
+    want = _outcome(reference_filter_and_smooth, model, history, None)
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert isinstance(got, list) and len(got) == len(want) == history.t + 1
+    root, want_root = got[history.t], want[history.t]
+    assert np.array_equal(root, want_root), f"max |diff| {np.abs(root - want_root).max()}"
+    return root
+
+
 def _stochastic(rng, rows: int, cols: int, sparse: bool) -> np.ndarray:
     """A (rows, cols) column-stochastic matrix; sparse ones have exact zeros."""
     m = rng.dirichlet(np.ones(rows), size=cols).T
@@ -156,14 +179,19 @@ def _random_case(rng):
 def test_filter_bit_identical_to_reference_on_random_models():
     rng = np.random.default_rng(6)
     outcomes = {"marginals": 0, "zero_evidence": 0, "policy": 0, "unreachable": 0}
+    roots = {"zero_evidence": 0, "unreachable": 0}
     for _ in range(200):
         model, history, policy = _random_case(rng)
         got = assert_same_outcome(model, history, policy)
         outcomes["zero_evidence" if isinstance(got, tuple) else "marginals"] += 1
         outcomes["policy"] += policy is not None
         outcomes["unreachable"] += isinstance(got, list) and any((p == 0).any() for p in got)
+        root = assert_same_root(model, history)
+        roots["zero_evidence"] += isinstance(root, tuple)
+        roots["unreachable"] += not isinstance(root, tuple) and bool((root == 0).any())
     # The corpus exercises every branch: raises, policies and exact-zero states.
     assert min(outcomes.values()) >= 10, outcomes
+    assert min(roots.values()) >= 10, roots
 
 
 def test_filter_bit_identical_to_reference_on_tmaze_histories():
@@ -175,11 +203,14 @@ def test_filter_bit_identical_to_reference_on_tmaze_histories():
             for acts in itertools.product(range(model.n_actions), repeat=t):
                 history = ep.History(obs, acts)
                 assert_same_outcome(model, history)
+                assert_same_root(model, history)
                 remaining = model.horizon - t
                 policy = ep.Policy(tuple(int(a) for a in rng.integers(0, 4, size=remaining)))
                 assert_same_outcome(model, history, policy)
     for _ in range(40):
-        assert_same_outcome(model, simulate_history(rng, model, model.horizon))
+        history = simulate_history(rng, model, model.horizon)
+        assert_same_outcome(model, history)
+        assert_same_root(model, history)
 
 
 def _late_case(rng, shape, sparse: bool, tail: bool):
@@ -205,6 +236,7 @@ def test_filter_bit_identical_to_reference_on_long_histories(shape, sparse):
         model, history, policy = _late_case(rng, shape, sparse, tail)
         got = assert_same_outcome(model, history, policy)
         assert len(got) == shape[3] - 1 + 2 * tail
+        assert_same_root(model, history)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "actions-middle", "actions-last"])
@@ -234,19 +266,21 @@ def test_filter_bit_identical_to_reference_for_every_memory_layout(layout):
         )
         assert model.transitions.tensor.strides == B.strides
         assert_same_outcome(model, history, policy)
+        assert_same_root(model, history)
 
 
 def test_filter_marginals_are_read_only_rows_of_one_block():
     rng = np.random.default_rng(8)
     model, history, policy = _late_case(rng, (16, 8, 4, 64), sparse=False, tail=True)
-    beliefs = ep.filter_and_smooth(model, history, policy)
-    block = beliefs[0].probs.base
-    assert block is not None and block.shape == (len(beliefs), model.n_states)
-    for b in beliefs.per_time:
-        assert b.probs.base is block
-        assert not b.probs.flags.writeable
-        with pytest.raises(ValueError):
-            b.probs[0] = 0.5
+    for smooth in (True, False):
+        beliefs = ep.filter_and_smooth(model, history, policy, smooth=smooth)
+        block = beliefs[0].probs.base
+        assert block is not None and block.shape == (len(beliefs), model.n_states)
+        for b in beliefs.per_time:
+            assert b.probs.base is block
+            assert not b.probs.flags.writeable
+            with pytest.raises(ValueError):
+                b.probs[0] = 0.5
 
 
 def test_filter_caches_nothing_on_the_model():
@@ -256,6 +290,7 @@ def test_filter_caches_nothing_on_the_model():
     before = dict(vars(model))
     ep.filter_and_smooth(model, history, policy)
     ep.filter_and_smooth(model, history)
+    ep.filter_and_smooth(model, history, smooth=False)
     after = vars(model)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())

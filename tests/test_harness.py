@@ -194,6 +194,32 @@ def test_fig2_experiment_pulls_back_preferences_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fig2_experiment_filters_each_plan_forward_only(monkeypatch):
+    # each distinct plan roots its tree on one forward-only pass and smooths
+    # the greedy policy once for held_at; each distinct final history is
+    # smoothed once for the trial outcome
+    calls = []
+    original = ep.inference.filter_and_smooth
+
+    def counting(model, history, policy=None, *, smooth=True):
+        calls.append((smooth, policy is None))
+        return original(model, history, policy, smooth=smooth)
+
+    for module in (planning, harness, ep.inference):
+        monkeypatch.setattr(module, "filter_and_smooth", counting)
+    result = ep.run_experiment(ep.load_config(data_path("fig2.json")))
+    plans = finals = 0
+    for agent_records in result.records.values():
+        decisions, final_histories = distinct_histories(agent_records)
+        plans += len(decisions)
+        finals += len(final_histories)
+    assert (plans, finals) == (13, 25)
+    assert calls.count((False, True)) == plans  # tree roots
+    assert calls.count((True, False)) == plans  # held_at under the greedy policy
+    assert calls.count((True, True)) == finals  # trial outcomes
+    assert len(calls) == 2 * plans + finals
+
+
 def test_experiment_records_match_fresh_trials():
     cfg = small_config(n_trials=12)
     result = ep.run_experiment(cfg)

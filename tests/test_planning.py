@@ -219,7 +219,7 @@ CORPORA = {
 }
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), corpus=st.sampled_from(sorted(CORPORA)))
 def test_trajectory_objective_closed_form_properties(seed, corpus):
     rng = np.random.default_rng(seed)
@@ -706,13 +706,17 @@ def tree_outputs(model, history, reward):
 
 
 def count_calls(monkeypatch) -> dict:
-    """Count pullbacks where the planner context calls it, and planning's filters."""
-    calls = {"pullback_preferences": 0, "filter_and_smooth": 0}
+    """Count pullbacks where the planner context calls it, and planning's filters.
+
+    "smooth=False" counts the filters that skip the backward pass.
+    """
+    calls = {"pullback_preferences": 0, "filter_and_smooth": 0, "smooth=False": 0}
     for module, name in ((ep.model, "pullback_preferences"), (planning, "filter_and_smooth")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            calls["smooth=False"] += kwargs.get("smooth") is False
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -721,12 +725,13 @@ def count_calls(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
 def test_policy_scores_filters_and_pulls_back_once(monkeypatch, kind):
+    # one forward-only filter per decision: the tree reads only the belief at
+    # t, where smoothing changes nothing
     calls = count_calls(monkeypatch)
-    model = ep.tmaze_model()
-    planning.policy_scores(
-        model, ep.History((0,), ()), kind, model.preferences.obs_log_pref
-    )
-    assert calls == {"pullback_preferences": 1, "filter_and_smooth": 1}
+    for history in (ep.History((0,), ()), ep.History((0, 5), (3,))):
+        model = ep.tmaze_model()
+        planning.policy_scores(model, history, kind, model.preferences.obs_log_pref)
+    assert calls == {"pullback_preferences": 2, "filter_and_smooth": 2, "smooth=False": 2}
 
 
 def test_one_model_pulls_back_once_across_calls(monkeypatch):
@@ -876,7 +881,7 @@ def test_alternative_objective_filters_once(monkeypatch, kind):
     )
     # only the kinds that read the breakdown build its preference context
     pullbacks = 0 if kind is ep.ObjectiveKind.EXPECTED_REWARD else 1
-    assert calls == {"pullback_preferences": pullbacks, "filter_and_smooth": 1}
+    assert calls == {"pullback_preferences": pullbacks, "filter_and_smooth": 1, "smooth=False": 0}
 
 
 def test_alternative_objective_equals_reference_bit_for_bit(rng):
