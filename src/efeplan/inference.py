@@ -184,13 +184,13 @@ def filter_and_smooth(
     everywhere, so adding it changes no logit. Planning roots its policy tree
     there.
 
-    Each step is `maths.logsumexp` fused in place: when every row maximum
-    (forward) or column maximum (backward) is finite, the step computes
-    log(sum(exp(x - m))) + m with direct ufunc reductions on one scratch
-    array; otherwise it calls `logsumexp`, the one implementation of the rule
-    for -inf maxima. Both run the operations of `logsumexp` in its order, so
-    every marginal is bit-identical to the per-step form. The L marginals are
-    read-only row views of one frozen softmax block (`categorical_rows`).
+    Each forward step is `maths.logsumexp` fused in place: when every row
+    maximum is finite, the step computes log(sum(exp(x - m))) + m with direct
+    ufunc reductions on one scratch array; otherwise it calls `logsumexp`, the
+    one implementation of the rule for -inf maxima. It runs the operations of
+    `logsumexp` in its order, so every marginal is bit-identical to the
+    per-step form. The backward pass is that per-step form. The L marginals
+    are read-only row views of one frozen softmax block (`categorical_rows`).
     The log tables are rebuilt per call rather than cached on the model: a
     caller that keeps its models would keep every cached table with them
     (caching them raised the late-decision benchmark's peak RSS by 7-11%).
@@ -204,10 +204,7 @@ def filter_and_smooth(
     logA = safe_log(model.likelihood.matrix)
     logB = safe_log(model.transitions.tensor)
     maximum, add = np.maximum.reduce, np.add.reduce
-    # The scratch takes the memory layout of logB[a] + v, the array the
-    # per-step form reduces, because the order of a reduction's sum follows
-    # that layout (a Fortran-ordered B sums each row in sequence, not pairwise).
-    x = np.empty_like(logB[0])
+    x = np.empty((S, S))
     m = np.empty(S)
     m_col = m[:, np.newaxis]
 
@@ -234,29 +231,15 @@ def filter_and_smooth(
             la += logA[observations[tau]]
             _log_normalize(la, tau, observations[tau])
 
-    if not smooth:
-        return MarginalBeliefs(categorical_rows(softmax(alphas)))
-
     # Backward pass; steps without evidence contribute nothing beyond dynamics.
-    betas = np.zeros((L, S))
-    beta_cols = betas[:, :, np.newaxis]
-    logA_cols = logA[:, :, np.newaxis]
-    for tau in range(L - 2, -1, -1):
-        np.add(logB[actions[tau]], beta_cols[tau + 1], out=x)
-        if tau + 1 < n_obs_steps:
-            x += logA_cols[observations[tau + 1]]
-        lb = betas[tau]
-        maximum(x, axis=0, out=m)
-        if isfinite(add(m)):
-            x -= m
-            np.exp(x, out=x)
-            add(x, axis=0, out=lb)
-            np.log(lb, out=lb)
-            lb += m
-        else:
-            lb[...] = logsumexp(x, axis=0)
-
-    alphas += betas
+    if smooth:
+        lb = np.zeros(S)
+        for tau in range(L - 2, -1, -1):
+            msg = logB[actions[tau]] + lb[:, np.newaxis]
+            if tau + 1 < n_obs_steps:
+                msg += logA[observations[tau + 1]][:, np.newaxis]
+            lb = logsumexp(msg, axis=0)
+            alphas[tau] += lb
     return MarginalBeliefs(categorical_rows(softmax(alphas)))
 
 

@@ -25,7 +25,7 @@ from .maths import NORM_ATOL, column_entropies, is_distribution, safe_log, softm
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
-    a = np.array(x, dtype=dtype)
+    a = np.array(x, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

@@ -400,14 +400,16 @@ def _scored_posterior(
 ) -> tuple[PolicyPosterior, list[EfeBreakdown]]:
     """policy_posterior plus the EFE breakdowns its single tree pass scored.
 
-    A gamma that scales a finite score past the float range is a ValueError.
+    A gamma that scales a finite score past the float range is a ValueError,
+    and so is a history where no policy has a finite score. A -inf score gets
+    a -inf log-weight at every gamma, gamma = 0 included (its gamma -> 0+ limit).
     """
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma!r}")
     if model.horizon - history.t < 1:
         raise ValueError("no decisions remain at this history")
     policies, scores, rows = policy_scores(model, history, kind, reward_per_obs)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         log_weights = gamma * scores
     overflowed = np.isinf(log_weights) & np.isfinite(scores)
     if overflowed.any():
@@ -415,6 +417,9 @@ def _scored_posterior(
             f"gamma {gamma!r} times the policy score {float(scores[overflowed][0])!r} "
             "overflows the float range"
         )
+    log_weights[scores == -math.inf] = -math.inf
+    if not np.isfinite(log_weights).any():
+        raise ValueError("no policy has a finite score")
     posterior = PolicyPosterior(
         policies=policies,
         log_weights=log_weights,

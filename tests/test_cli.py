@@ -209,6 +209,34 @@ def test_plan_one_action_beyond_the_cap_exit_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def tmaze_pref(magnitude: float) -> list[float]:
+    """The T-maze observation preferences with reward and punishment at ±magnitude."""
+    return [0.0, magnitude, -magnitude, magnitude, -magnitude, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("magnitude", [800.0, 1e300])
+def test_plan_no_finite_policy_score_exit_1(tmp_path, capsys, magnitude):
+    # every state but the two rewarding ones has preference 0, so every risk is inf
+    path = write_tmaze_doc(tmp_path, obs_log_pref=tmaze_pref(magnitude))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plan", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "planning failed: no policy has a finite score\n"
+    assert captured.out == ""
+
+
+def test_plan_gamma_zero_gives_minus_inf_scores_no_weight(tmp_path, capsys):
+    # at ±400, 12 of the 16 policy scores are -inf; gamma 0 must not turn them into nan
+    path = write_tmaze_doc(tmp_path, obs_log_pref=tmaze_pref(400.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plan", str(path), "--gamma", "0"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows if row[1] != "inf"] == ["0-0", "0-3", "3-0", "3-3"]
+    assert [float(row[-1]) for row in rows] == [0.25] * 4 + [0.0] * 12
+
+
 def _limit_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -477,6 +505,21 @@ def test_run_overflowing_gamma_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("runtime failure: trial 0, agent 'efe': gamma 1e+308")
     assert "overflows" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_run_no_finite_policy_score_exit_1(tmp_path, capsys):
+    doc = json.loads(data_path("fig2.json").read_text(encoding="utf-8"))
+    overrides = {"reward_log_pref": 800.0, "punish_log_pref": -800.0}
+    doc.update(n_trials=2, output_dir=str(tmp_path / "out"))
+    doc["environment"]["overrides"] = overrides
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "runtime failure: trial 0, agent 'efe': no policy has a finite score\n"
     assert captured.out == ""
 
 

@@ -1,11 +1,12 @@
 """The CLI contract under fuzzed input (hypothesis; MacIver et al., JOSS 2019).
 
-Three input surfaces: the bundled `tmaze.json` with one field or nested
-element replaced or deleted (through `validate` and `plan`), the bundled
-`fig2.json` with one field replaced or deleted (through `run`), and the
-`plan` flags `--obs`, `--actions` and `--gamma`. Each example calls
-`cli.main` in-process. The contract: the exit code is 0, 1 or 2, and a
-failure prints one stderr line and no traceback.
+Four input surfaces: the bundled `tmaze.json` with one field or nested
+element replaced or deleted (through `validate` and `plan`), the same model
+with its preferences scaled up to magnitudes whose state preferences
+underflow (through `plan`), the bundled `fig2.json` with one field replaced
+or deleted (through `run`), and the `plan` flags `--obs`, `--actions` and
+`--gamma`. Each example calls `cli.main` in-process. The contract: the exit
+code is 0, 1 or 2, and a failure prints one stderr line and no traceback.
 
 The properties run in one child process whose address space is capped, so an
 input that makes the CLI grow without bound fails the test instead of
@@ -23,6 +24,7 @@ import resource
 import subprocess
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -97,9 +99,16 @@ def fig2_doc() -> dict:
 
 
 def call_main(argv: list[str]) -> tuple[int, str]:
-    """cli.main in-process: its exit code and stderr, SystemExit included."""
+    """cli.main in-process: its exit code and stderr, SystemExit included.
+
+    Every warning prints, not only its first occurrence in the process, so an
+    example that fails the contract fails it on every replay.
+    """
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), (
+        warnings.catch_warnings()
+    ):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -124,6 +133,22 @@ def check_model_documents(workdir: Path, doc) -> None:
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert_contract(["validate", str(path)])
     assert_contract(["plan", str(path)])
+
+
+# ×1 is the paper's ±6 nats. At ×60 (±360) the state preferences reach the
+# subnormal range; from ×400 (±2,400) every state but the two rewarding ones
+# has preference 0, and every policy's risk is inf.
+PREFERENCE_SCALES = st.sampled_from([1.0, 60.0, 400.0, 800.0, 1e300])
+
+
+@settings(max_examples=20)
+@given(scale=PREFERENCE_SCALES, gamma=st.sampled_from(["1", "0"]))
+def check_preference_magnitudes(workdir: Path, scale: float, gamma: str) -> None:
+    doc = tmaze_doc()
+    doc["obs_log_pref"] = [scale * c for c in doc["obs_log_pref"]]
+    path = workdir / "scaled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_contract(["plan", str(path), f"--gamma={gamma}"])
 
 
 @settings(max_examples=40)
@@ -163,6 +188,7 @@ def check_plan_flags(workdir: Path, history: tuple[str, str], gamma: str) -> Non
 
 def check_cli_contract(workdir: Path) -> None:
     check_model_documents(workdir)
+    check_preference_magnitudes(workdir)
     check_config_documents(workdir)
     check_plan_flags(workdir)
 

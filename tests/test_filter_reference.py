@@ -239,32 +239,58 @@ def test_filter_bit_identical_to_reference_on_long_histories(shape, sparse):
         assert_same_root(model, history)
 
 
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """x with equal values in the given memory layout; a 3-D x has actions first."""
+    x = np.ascontiguousarray(x)
+    if layout == "C":
+        return x
+    if layout == "F" or x.ndim < 3:  # a vector or a matrix has one other layout
+        return np.asfortranarray(x)
+    order = {"actions-middle": (1, 0, 2), "actions-last": (2, 1, 0)}[layout]
+    return np.ascontiguousarray(x.transpose(order)).transpose(order)
+
+
 @pytest.mark.parametrize("layout", ["C", "F", "actions-middle", "actions-last"])
 def test_filter_bit_identical_to_reference_for_every_memory_layout(layout):
-    """The order of a reduction's sum follows the layout of the array it reduces.
+    """A model's arrays are frozen C-ordered, so its floats follow its values alone.
 
-    The per-step form reduces fresh arrays laid out like logB[a], so the filter
-    must reduce the same layout: a C-ordered scratch would sum the rows of a
-    Fortran-ordered B pairwise instead of in sequence and change the last bits.
+    The order of a reduction's sum follows the layout of the array it reduces
+    (numpy sums a contiguous axis pairwise and a strided one in sequence), so
+    a model that kept its input's layout would filter and plan differently in
+    the last bits from a C-ordered model with equal values.
     """
     rng = np.random.default_rng(21)
     for _ in range(4):
-        model, history, policy = _late_case(rng, (24, 6, 3, 40), sparse=False, tail=True)
-        B = np.ascontiguousarray(model.transitions.tensor)
-        B = {
-            "C": B,
-            "F": np.asfortranarray(B),
-            "actions-middle": np.ascontiguousarray(B.transpose(1, 0, 2)).transpose(1, 0, 2),
-            "actions-last": np.ascontiguousarray(B.transpose(2, 1, 0)).transpose(2, 1, 0),
-        }[layout]
-        model = ep.make_model(
-            likelihood=model.likelihood.matrix,
-            transitions=B,
-            initial_belief=model.initial_belief.probs,
-            obs_log_pref=np.zeros(model.n_obs),
-            horizon=model.horizon,
+        base, history, policy = _late_case(rng, (24, 6, 3, 40), sparse=False, tail=True)
+        arrays = dict(
+            likelihood=base.likelihood.matrix,
+            transitions=base.transitions.tensor,
+            initial_belief=base.initial_belief.probs,
+            obs_log_pref=rng.normal(0.0, 2.0, size=base.n_obs),
         )
-        assert model.transitions.tensor.strides == B.strides
+        want, model = (
+            ep.make_model(
+                **{k: _laid_out(v, order) for k, v in arrays.items()}, horizon=base.horizon
+            )
+            for order in ("C", layout)
+        )
+        for tensor in (
+            model.likelihood.matrix,
+            model.transitions.tensor,
+            model.initial_belief.probs,
+            model.preferences.obs_log_pref,
+        ):
+            assert tensor.flags.c_contiguous
+        for smooth in (True, False):
+            got_beliefs = ep.filter_and_smooth(model, history, policy, smooth=smooth)
+            want_beliefs = ep.filter_and_smooth(want, history, policy, smooth=smooth)
+            for g, w in zip(got_beliefs.per_time, want_beliefs.per_time, strict=True):
+                assert np.array_equal(g.probs, w.probs)
+        got_ctx, want_ctx = model.planner_context, want.planner_context
+        for name in ("pref_states", "ln_pref_states", "ln_obs_marginal", "col_entropy"):
+            assert np.array_equal(getattr(got_ctx, name), getattr(want_ctx, name)), name
+        got_rows, want_rows = ep.efe_table(model, history)[1], ep.efe_table(want, history)[1]
+        assert [r.as_row() for r in got_rows] == [r.as_row() for r in want_rows]
         assert_same_outcome(model, history, policy)
         assert_same_root(model, history)
 
