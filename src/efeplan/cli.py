@@ -248,7 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (`efeplan plan ... | head`). Send the
+        # rest of the output to devnull so the interpreter's flush at exit
+        # does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print("output closed early: broken pipe", file=sys.stderr)
+        return EXIT_DOMAIN
+    return status
 
 
 if __name__ == "__main__":

@@ -199,10 +199,23 @@ class TrialRecord:
 
 
 def derive_rng(master_seed: int, agent_index: int, trial_index: int) -> np.random.Generator:
-    """Stateless per-trial substream; independent of trial execution order."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), int(agent_index), int(trial_index)])
-    )
+    """Stateless per-trial substream; independent of trial execution order.
+
+    The stream is that of `SeedSequence([master_seed, agent_index,
+    trial_index])`. numpy coerces each int entropy item to its 32-bit words,
+    least significant first (0 is one word); handing it those words as a
+    uint32 array skips that per-call coercion.
+    """
+    words = []
+    for value in (int(master_seed), int(agent_index), int(trial_index)):
+        if value < 0:
+            raise ValueError(f"substream components must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True, eq=False)

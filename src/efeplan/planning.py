@@ -231,12 +231,16 @@ def _policy_tree(
     observed step the smoothed belief equals it bit for bit. Predictive
     marginals for timesteps past t equal that belief pushed through the
     transition tensor, so the tree is expanded one depth at a time,
-    with one matrix-vector product and one set of per-step terms per node. Each
-    node carries its path's running term sums, added in depth order from +0.0;
-    listing every parent's children in action order leaves the last level in
-    lexicographic policy order. Given a per-observation reward vector, each node
-    also adds its expected reward to a running sum, returned per policy as the
-    third value.
+    with one matrix-vector product per node. Each distinct inner belief is
+    scored once: a later node whose belief has the same bytes reuses its
+    per-step terms and expected reward. Leaves are looked up but not kept, so
+    a dense tree, where no belief repeats, keeps nothing per leaf, and a leaf
+    belief that only other leaves share is scored per leaf. Each node carries
+    its path's running term sums, added in depth order from +0.0; listing
+    every parent's children in action order leaves the last level in
+    lexicographic policy order. Given a per-observation reward vector, each
+    node also adds its expected reward to a running sum, returned per policy as
+    the third value.
     """
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
@@ -244,20 +248,31 @@ def _policy_tree(
     A, B = model.likelihood.matrix, model.transitions.tensor
     root = filter_and_smooth(model, history, smooth=False).per_time[history.t].probs
     level = [(root, (0.0, 0.0, 0.0, 0.0), 0.0)]
-    for _ in range(depth):
+    # belief bytes -> (per-step terms, expected reward) of an inner node
+    scored: dict[bytes, tuple[tuple[float, float, float, float], float]] = {}
+    for steps_below in range(depth - 1, -1, -1):
         children = []
         for parent, sums, earned in level:
             for B_a in B:
                 q = B_a @ parent
-                qo = A @ q
-                risk, ambiguity, extrinsic, intrinsic = _step_terms(ctx, q, qo)
+                key = q.tobytes()
+                node = scored.get(key)
+                if node is None:
+                    qo = A @ q
+                    node = (
+                        _step_terms(ctx, q, qo),
+                        0.0 if reward is None else float(reward @ qo),
+                    )
+                    if steps_below:
+                        scored[key] = node
+                (risk, ambiguity, extrinsic, intrinsic), gain = node
                 child_sums = (
                     sums[0] + risk,
                     sums[1] + ambiguity,
                     sums[2] + extrinsic,
                     sums[3] + intrinsic,
                 )
-                child_earned = earned if reward is None else earned + float(reward @ qo)
+                child_earned = earned if reward is None else earned + gain
                 children.append((q, child_sums, child_earned))
         level = children
     rows = [_breakdown(sums) for _, sums, _ in level]
@@ -458,4 +473,9 @@ def select_action(
         return _tied_argmax(marginal.probs)
     if rng is None:
         raise ValueError("sampling selection requires an rng substream")
-    return int(rng.choice(len(marginal), p=marginal.probs))
+    # The draw rng.choice(len(p), p=p) makes, without its per-call validation
+    # of p (a Categorical is already validated): the same index and the same
+    # generator state afterwards.
+    cdf = marginal.probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))

@@ -242,14 +242,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def child_env() -> dict:
+    """The environment of a child `python -m efeplan.cli`: this checkout's
+    package first on the path, and one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(ep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_plan_astronomical_horizon_exit_1_in_bounded_memory(tmp_path):
     # Building 4^(10^30) grows without bound, so the command runs in a child
     # whose address space alone is capped: a regression fails this test by
     # MemoryError or timeout instead of exhausting the host.
     path = write_tmaze_doc(tmp_path, horizon=10**30)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    src = str(Path(ep.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     results = {}
     for command in ("validate", "plan"):
         results[command] = subprocess.run(
@@ -266,6 +273,27 @@ def test_plan_astronomical_horizon_exit_1_in_bounded_memory(tmp_path):
     assert plan.stderr == (
         f"planning failed: 4 actions over {10**30} steps exceed the cap of 1000000 policies\n"
     )
+
+
+def test_plan_into_a_closed_pipe_exits_1_without_traceback(tmaze_path):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails on every run
+    env = child_env()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "efeplan.cli", "plan", str(tmaze_path)],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == "output closed early: broken pipe\n"
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,26 @@ def test_seed_isolation_order_independent():
     assert records_equal(alone, again)
 
 
+@pytest.mark.parametrize(
+    "master_seed", [0, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 8589934595, 10**30]
+)
+def test_derive_rng_equals_seed_sequence_of_the_three_ints(master_seed):
+    # the uint32 words it builds are what numpy makes of each int entropy item
+    for agent_index, trial_index in ((0, 0), (2, 17), (1, 2**32 + 1)):
+        got = ep.derive_rng(master_seed, agent_index, trial_index)
+        want = np.random.default_rng(
+            np.random.SeedSequence([master_seed, agent_index, trial_index])
+        )
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.random(8), want.random(8))
+
+
+def test_derive_rng_rejects_a_negative_component():
+    for components in ((-1, 0, 0), (0, -1, 0), (0, 0, -(2**40))):
+        with pytest.raises(ValueError):
+            ep.derive_rng(*components)
+
+
 def test_experiment_summary_and_prefix_sums():
     result = ep.run_experiment(small_config())
     for name, agent in result.summary["agents"].items():

@@ -1,6 +1,7 @@
 """Objective decompositions, policy posteriors, and action selection."""
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 
@@ -511,6 +512,21 @@ def test_select_action_sample_golden_draw():
     assert ep.select_action(ep.Categorical([0.5, 0.5]), ep.SelectionMode.SAMPLE, rng) == 1
 
 
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    weights=st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0), min_size=1, max_size=8
+    ).filter(lambda w: sum(w) > 0),
+)
+def test_select_action_sample_matches_rng_choice(seed, weights):
+    # the same index as rng.choice, and the generator left in the same state
+    marginal = ep.Categorical(np.array(weights) / sum(weights))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ep.select_action(marginal, ep.SelectionMode.SAMPLE, rng)
+    assert got == int(ref.choice(len(marginal), p=marginal.probs))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_select_action_sample_requires_rng():
     with pytest.raises(ValueError):
         ep.select_action(ep.Categorical([0.5, 0.5]), ep.SelectionMode.SAMPLE)
@@ -800,6 +816,92 @@ def test_reward_scores_equal_reference_walk(rng):
         reversed_differs |= got != reference_outputs(model, history, reward, reverse=True)
     # summing each path deepest first changes some bits, which the comparison sees
     assert reversed_differs
+
+
+def gridworld_model(horizon):
+    """A 3x3 grid with deterministic moves (stay, up, down, left, right; a move
+    into a wall stays put) that sees its column right 8 times in 10."""
+    moves = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+    B = np.zeros((len(moves), 9, 9))
+    for a, (dr, dc) in enumerate(moves):
+        for r, c in itertools.product(range(3), repeat=2):
+            r2, c2 = min(max(r + dr, 0), 2), min(max(c + dc, 0), 2)
+            B[a, 3 * r2 + c2, 3 * r + c] = 1.0
+    A = np.full((3, 9), 0.1)
+    A[np.arange(9) % 3, np.arange(9)] = 0.8
+    return ep.make_model(
+        likelihood=A,
+        transitions=B,
+        initial_belief=np.full(9, 1 / 9),
+        obs_log_pref=np.array([0.0, 0.5, 2.0]),
+        horizon=horizon,
+    )
+
+
+def with_transitions(model, transitions):
+    return ep.make_model(
+        likelihood=model.likelihood.matrix,
+        transitions=transitions,
+        initial_belief=model.initial_belief.probs,
+        obs_log_pref=model.preferences.obs_log_pref,
+        horizon=model.horizon,
+    )
+
+
+def test_merged_beliefs_equal_reference_walk(rng):
+    # models on which many action sequences reach bit-identical beliefs, which
+    # the tree scores once and the reference walk scores per prefix
+    tmaze = ep.tmaze_model()
+    cases = []
+    for t in range(tmaze.horizon):
+        for observations in itertools.product(range(tmaze.n_obs), repeat=t + 1):
+            for actions in itertools.product(range(tmaze.n_actions), repeat=t):
+                history = ep.History(observations, actions)
+                try:
+                    ep.filter_and_smooth(tmaze, history, smooth=False)
+                except ep.ZeroEvidence:
+                    continue
+                cases.append((tmaze, history))
+    assert len(cases) == 8  # every history the tree accepts
+    grid = gridworld_model(horizon=4)  # 625 policies
+    cases.append((grid, ep.History((1,), ())))
+    cases.append((grid, ep.History((1, 2), (4,))))
+    for _ in range(10):
+        model = random_model(rng)
+        S, n_actions = model.n_states, model.n_actions
+        one_hot = np.zeros((n_actions, S, S))
+        for a in range(n_actions):
+            one_hot[a, rng.integers(0, S, size=S), np.arange(S)] = 1.0
+        stay = model.transitions.tensor.copy()
+        stay[0] = np.eye(S)
+        repeated = model.transitions.tensor.copy()
+        repeated[1] = repeated[0]
+        for transitions in (one_hot, stay, repeated):
+            variant = with_transitions(model, transitions)
+            cases.append((variant, simulate_history(rng, variant)))
+    for model, history in cases:
+        reward = rng.normal(size=model.n_obs)
+        assert tree_outputs(model, history, reward) == reference_outputs(model, history, reward)
+
+
+def test_tree_scores_each_distinct_belief_once(monkeypatch, rng):
+    calls = []
+    original = planning._step_terms
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(planning, "_step_terms", counted)
+    # the T-maze's 4 depth-1 beliefs are absorbing: its 16 leaves repeat them
+    planning._policy_tree(ep.tmaze_model(), ep.History((0,), ()))
+    assert len(calls) == 4
+    # no belief repeats in the benchmark's dense shapes: one call per node
+    for S, O, n_actions, horizon in ((20, 10, 4, 5), (12, 8, 3, 7), (48, 16, 6, 4)):
+        calls.clear()
+        model = benchmark_model(rng, S, O, n_actions, horizon)
+        planning._policy_tree(model, ep.History((0,), ()))
+        assert len(calls) == sum(n_actions**d for d in range(1, horizon + 1))
 
 
 # State 2 emits observation 1, whose log-preference -800 pulls back to a
