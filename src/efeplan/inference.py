@@ -6,24 +6,30 @@ recursion over the action-conditioned chain (the fast path). Both condition on
 the observed prefix o_{0..t} and a committed action sequence a_{1..L}; steps
 beyond t carry no evidence, so their marginals are predictive.
 
-Filtering runs in log space to avoid underflow; probabilities are
-exponentiated and renormalized only at the boundary.
+Enumeration runs in log space; forward-backward runs in linear space and
+rescales each observed step by its evidence, so long histories stay in range.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .maths import logsumexp, safe_log, softmax
+from .maths import logsumexp, safe_log
 from .model import Categorical, GenerativeModel, History, Policy, categorical_rows
 
 ENUMERATION_CAP = 10**7
+_TINY = np.finfo(float).tiny  # the smallest evidence a filter step accepts
 
 
 class ZeroEvidence(ValueError):
-    """An observed symbol has probability zero under the model and history."""
+    """An observed symbol has probability zero under the model and history.
+
+    `filter_and_smooth` raises it when the evidence of an observation given
+    the earlier ones is below np.finfo(float).tiny (~2.2e-308), so an
+    observation whose evidence underflows counts as impossible there;
+    `enumerate_posterior` raises it only on an exact zero.
+    """
 
     def __init__(self, timestep: int, observation: int):
         self.timestep = timestep
@@ -177,88 +183,65 @@ def filter_and_smooth(
     Timesteps up to t are smoothed against the observed prefix; timesteps past
     t (no evidence yet) come out as predictive marginals under the policy.
 
+    The recursion is the scaled forward-backward algorithm (Rabiner, Proc.
+    IEEE 77(2), 1989) in linear space, one matrix-vector product per step, as
+    the policy tree propagates beliefs. Forward: alpha_0 is D*A[o_0], then
+    alpha_tau = B[a_tau] alpha_{tau-1}; an observed step also multiplies by
+    A[o_tau] and divides by its sum c_tau, the evidence of o_tau given the
+    earlier observations. Backward: beta_tau = B[a_{tau+1}]^T (A[o_{tau+1}] *
+    beta_{tau+1}) / c_{tau+1}, or B[a_{tau+1}]^T beta_{tau+1} past the last
+    observation, with the entries of states whose alpha_{tau+1} is 0 dropped.
+    The L marginals are the rows of alpha*beta, each divided by its sum:
+    read-only row views of one frozen block (`categorical_rows`).
+
+    ZeroEvidence is raised at the first observed step whose c_tau is below
+    np.finfo(float).tiny (~2.2e-308): an impossible observation, or one whose
+    evidence given the earlier ones underflows. Likewise a state whose
+    filtered probability falls below the smallest subnormal is 0 from then on.
+
     With smooth=False the call returns after the forward pass, with the
     filtering marginals q(s_tau | o_0..tau): no backward messages are built.
     At the last observed step t that is the smoothed marginal bit for bit
-    when no policy follows: the backward message at the last step is +0.0
-    everywhere, so adding it changes no logit. Planning roots its policy tree
-    there.
-
-    Each forward step is `maths.logsumexp` fused in place: when every row
-    maximum is finite, the step computes log(sum(exp(x - m))) + m with direct
-    ufunc reductions on one scratch array; otherwise it calls `logsumexp`, the
-    one implementation of the rule for -inf maxima. It runs the operations of
-    `logsumexp` in its order, so every marginal is bit-identical to the
-    per-step form. The backward pass is that per-step form. The L marginals
-    are read-only row views of one frozen softmax block (`categorical_rows`).
-    The log tables are rebuilt per call rather than cached on the model: a
-    caller that keeps its models would keep every cached table with them
-    (caching them raised the late-decision benchmark's peak RSS by 7-11%).
+    when no policy follows, since the last row is never multiplied by a
+    backward message. Planning roots its policy tree there.
     """
     actions = checked_actions(model, history, policy)
-    L = len(actions) + 1
-    S = model.n_states
+    B = model.transitions.tensor
     observations = history.observations
     n_obs_steps = len(observations)
+    # likelihoods[tau] = A[o_tau], the evidence factor of each observed step
+    likelihoods = model.likelihood.matrix.take(observations, axis=0)
 
-    logA = safe_log(model.likelihood.matrix)
-    logB = safe_log(model.transitions.tensor)
-    maximum, add = np.maximum.reduce, np.add.reduce
-    x = np.empty((S, S))
-    m = np.empty(S)
-    m_col = m[:, np.newaxis]
+    alphas = np.empty((len(actions) + 1, model.n_states))
+    norms = np.empty(n_obs_steps)
+    alpha = np.multiply(model.initial_belief.probs, likelihoods[0], out=alphas[0])
+    for tau in range(len(alphas)):
+        if tau:
+            alpha = np.dot(B[actions[tau - 1]], alpha, out=alphas[tau])
+            if tau >= n_obs_steps:
+                continue
+            alpha *= likelihoods[tau]
+        c = alpha.sum()
+        if c < _TINY:
+            raise ZeroEvidence(tau, observations[tau])
+        norms[tau] = c
+        alpha /= c
 
-    # Forward pass, renormalizing each step to keep magnitudes bounded.
-    alphas = np.empty((L, S))
-    la = alphas[0]
-    np.add(safe_log(model.initial_belief.probs), logA[observations[0]], out=la)
-    _log_normalize(la, 0, observations[0])
-    for tau in range(1, L):
-        np.add(logB[actions[tau - 1]], la, out=x)
-        la = alphas[tau]
-        maximum(x, axis=1, out=m)
-        # A sum of maxima is finite only when every maximum is; an overflowing
-        # sum of finite ones merely takes the fallback, which gives the same bits.
-        if isfinite(add(m)):
-            x -= m_col
-            np.exp(x, out=x)
-            add(x, axis=1, out=la)
-            np.log(la, out=la)
-            la += m
-        else:
-            la[...] = logsumexp(x, axis=1)
-        if tau < n_obs_steps:
-            la += logA[observations[tau]]
-            _log_normalize(la, tau, observations[tau])
-
-    # Backward pass; steps without evidence contribute nothing beyond dynamics.
     if smooth:
-        lb = np.zeros(S)
-        for tau in range(L - 2, -1, -1):
-            msg = logB[actions[tau]] + lb[:, np.newaxis]
+        # weights[tau - 1] = A[o_tau] / c_tau, zero where alpha_tau is: a state
+        # the forward pass rules out has no marginal to give, and its backward
+        # entry alone can overflow on a near-deterministic model.
+        weights = likelihoods[1:]
+        weights *= alphas[1:n_obs_steps] > 0
+        weights /= norms[1:, np.newaxis]
+        beta = np.ones(model.n_states)
+        for tau in range(len(actions) - 1, -1, -1):
             if tau + 1 < n_obs_steps:
-                msg += logA[observations[tau + 1]][:, np.newaxis]
-            lb = logsumexp(msg, axis=0)
-            alphas[tau] += lb
-    return MarginalBeliefs(categorical_rows(softmax(alphas)))
-
-
-def _log_normalize(la: np.ndarray, timestep: int, observation: int) -> None:
-    """Subtract logsumexp(la) from la in place; ZeroEvidence if it is not finite.
-
-    The fast path keeps the (1,)-shaped intermediates of `logsumexp` with
-    axis=None, so exp and log run on the same array shapes and every bit
-    matches; a finite maximum always gives a finite norm.
-    """
-    m = np.maximum.reduce(la, keepdims=True)
-    if isfinite(m[0]):
-        norm = np.log(np.add.reduce(np.exp(la - m), keepdims=True))
-        norm += m
-    else:
-        norm = logsumexp(la)
-        if not isfinite(norm):
-            raise ZeroEvidence(timestep, observation)
-    la -= norm
+                beta *= weights[tau]
+            beta = np.dot(beta, B[actions[tau]])
+            alphas[tau] *= beta
+    alphas /= alphas.sum(axis=1, keepdims=True)
+    return MarginalBeliefs(categorical_rows(alphas))
 
 
 def predictive_observations(

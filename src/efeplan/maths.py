@@ -17,11 +17,7 @@ def logsumexp(x: np.ndarray, axis=None) -> np.ndarray:
     """log(sum(exp(x))) tolerating -inf entries (zero probabilities).
 
     When every maximum is finite, each sum contains exp(0) = 1, so log never
-    sees 0 and the warning guard is skipped. The forward step of
-    `inference.filter_and_smooth` inlines that finite case in place and calls
-    this function for the rest, so this stays the one implementation of the
-    rule for -inf maxima; the inlined step must keep the operations below and
-    their order.
+    sees 0 and the warning guard is skipped.
     """
     x = np.asarray(x, dtype=float)
     m = x.max(axis=axis, keepdims=True)

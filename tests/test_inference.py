@@ -5,11 +5,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efeplan as ep
 from efeplan import inference
 
 from conftest import random_model, simulate_history
+from test_filter_reference import _stochastic
 
 
 def brute_force_joint_table(model, history, policy):
@@ -196,6 +199,79 @@ def test_enumeration_and_filter_blame_the_same_observation():
         raised += want is not None and want[0] < steps
     # Enough raises come before the last observation to tell the routes apart.
     assert raised >= 20, raised
+
+
+def _column_stochastic(rng, rows: int, cols: int, kind: str) -> np.ndarray:
+    """A (rows, cols) column-stochastic matrix: "dense", "sparse" or "near-deterministic".
+
+    A near-deterministic column has one dominant entry, and each other entry
+    is 0 or a power of ten from 1e-12 to 1e-1.
+    """
+    if kind != "near-deterministic":
+        return _stochastic(rng, rows, cols, sparse=kind == "sparse")
+    m = 10.0 ** -rng.integers(1, 13, size=(rows, cols)).astype(float)
+    m[rng.random((rows, cols)) < 0.5] = 0.0
+    m[rng.integers(0, rows, size=cols), np.arange(cols)] = 1.0
+    return m / m.sum(axis=0, keepdims=True)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model with S <= 5, a history and maybe a policy, spanning L <= 6 timesteps.
+
+    The history is simulated from the model or has arbitrary observations,
+    which a sparse or near-deterministic model often makes impossible.
+    """
+    S, O, n_actions = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    steps = draw(st.integers(0, 5))
+    extra = draw(st.integers(0, 5 - steps))
+    kind = draw(st.sampled_from(["dense", "sparse", "near-deterministic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = ep.make_model(
+        likelihood=_column_stochastic(rng, O, S, kind),
+        transitions=np.stack([_column_stochastic(rng, S, S, kind) for _ in range(n_actions)]),
+        initial_belief=_column_stochastic(rng, S, 1, kind)[:, 0],
+        obs_log_pref=np.zeros(O),
+        horizon=steps + extra,
+    )
+    if draw(st.booleans()):
+        history = simulate_history(rng, model, steps)
+    else:
+        history = ep.History(
+            tuple(draw(st.lists(st.integers(0, O - 1), min_size=steps + 1, max_size=steps + 1))),
+            tuple(draw(st.lists(st.integers(0, n_actions - 1), min_size=steps, max_size=steps))),
+        )
+    policy = None
+    if draw(st.booleans()):
+        policy = ep.Policy(
+            tuple(draw(st.lists(st.integers(0, n_actions - 1), min_size=extra, max_size=extra)))
+        )
+    return model, history, policy
+
+
+@settings(max_examples=120)
+@given(case=oracle_cases())
+def test_filter_matches_enumeration_oracle(case):
+    """Forward-backward and enumeration, the two exact routes, agree within 1e-12.
+
+    Both raise ZeroEvidence on the same (timestep, observation), or neither does.
+    """
+    model, history, policy = case
+
+    def outcome(route):
+        try:
+            return [b.probs for b in route(model, history, policy)]
+        except ep.ZeroEvidence as exc:
+            return exc.timestep, exc.observation
+
+    got = outcome(ep.filter_and_smooth)
+    want = outcome(lambda *args: ep.enumerate_posterior(*args).marginals(model.n_states))
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for tau, (g, w) in enumerate(zip(got, want)):
+        assert np.abs(g - w).max() <= 1e-12, f"timestep {tau}"
 
 
 def test_predictive_observations_dirac_belief_gives_likelihood_column(rng):
