@@ -225,7 +225,7 @@ class _Plan:
     policy_probs: np.ndarray
     marginal: Categorical
     argmax: int  # the action argmax selection takes from marginal
-    efe_rows: tuple[EfeBreakdown, ...]
+    efe_rows: tuple[EfeBreakdown, ...] | None  # kept for the EFE agent only
     held_at: MarginalBeliefs  # predictive under the greedy plan
 
 
@@ -262,7 +262,7 @@ def _plan(model, history, kind, gamma, reward_per_obs) -> _Plan:
         policy_probs=posterior.probs.probs,
         marginal=marginal,
         argmax=select_action(marginal, SelectionMode.ARGMAX),
-        efe_rows=tuple(rows),
+        efe_rows=tuple(rows) if kind is ObjectiveKind.EXPECTED_FREE_ENERGY else None,
         held_at=filter_and_smooth(model, history, greedy),
     )
 

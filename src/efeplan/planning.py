@@ -74,7 +74,7 @@ class SelectionMode(Enum):
     SAMPLE = "sample"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EfeBreakdown:
     """Per-policy record of the objective and both decompositions (nats)."""
 
@@ -221,71 +221,80 @@ def _policy_space(n_actions: int, length: int) -> tuple[Policy, ...]:
     return tuple(Policy(seq) for seq in itertools.product(range(n_actions), repeat=length))
 
 
-def _policy_tree(
-    model: GenerativeModel, history: History, reward: np.ndarray | None = None
-) -> tuple[tuple[Policy, ...], list[EfeBreakdown], np.ndarray | None]:
-    """Breakdowns for every remaining policy, sharing work across common prefixes.
+def _root(model: GenerativeModel, history: History) -> np.ndarray:
+    """The filtered belief at t, which smoothing would leave bit for bit unchanged."""
+    return filter_and_smooth(model, history, smooth=False).per_time[history.t].probs
 
-    The root is the filtered belief at t, from one forward pass with no
-    backward pass (`filter_and_smooth(..., smooth=False)`): at the last
-    observed step the smoothed belief equals it bit for bit. Predictive
-    marginals for timesteps past t equal that belief pushed through the
-    transition tensor, so the tree is expanded one depth at a time,
-    with one matrix-vector product per node. Each distinct inner belief is
-    scored once: a later node whose belief has the same bytes reuses its
-    per-step terms and expected reward. Leaves are looked up but not kept, so
-    a dense tree, where no belief repeats, keeps nothing per leaf, and a leaf
-    belief that only other leaves share is scored per leaf. Each node carries
-    its path's running term sums, added in depth order from +0.0; listing
+
+def _policy_tree(model: GenerativeModel, root: np.ndarray, depth: int) -> list[EfeBreakdown]:
+    """Breakdowns for every policy of the given depth, sharing work across common prefixes.
+
+    Predictive marginals past the root belief at t equal it pushed through the
+    transition tensor, so the tree is expanded one depth at a time, with one
+    matrix-vector product per node. Each distinct inner belief is scored once:
+    a later node whose belief has the same bytes reuses its per-step terms.
+    Leaves are looked up but not kept, so a dense tree, where no belief
+    repeats, keeps nothing per leaf, and a leaf belief that only other leaves
+    share is scored per leaf; a leaf keeps only its path's running term sums.
+    Each node carries those sums, added in depth order from +0.0; listing
     every parent's children in action order leaves the last level in
-    lexicographic policy order. Given a per-observation reward vector, each
-    node also adds its expected reward to a running sum, returned per policy as
-    the third value.
+    lexicographic policy order.
     """
-    depth = model.horizon - history.t
-    policies = enumerate_policies(model.n_actions, depth)
     ctx = model.planner_context
     A, B = model.likelihood.matrix, model.transitions.tensor
-    root = filter_and_smooth(model, history, smooth=False).per_time[history.t].probs
-    level = [(root, (0.0, 0.0, 0.0, 0.0), 0.0)]
-    # belief bytes -> (per-step terms, expected reward) of an inner node
-    scored: dict[bytes, tuple[tuple[float, float, float, float], float]] = {}
+    level = [(root, (0.0, 0.0, 0.0, 0.0))]
+    # belief bytes -> per-step terms of an inner node
+    scored: dict[bytes, tuple[float, float, float, float]] = {}
     for steps_below in range(depth - 1, -1, -1):
         children = []
-        for parent, sums, earned in level:
+        for parent, sums in level:
             for B_a in B:
                 q = B_a @ parent
                 key = q.tobytes()
-                node = scored.get(key)
-                if node is None:
-                    qo = A @ q
-                    node = (
-                        _step_terms(ctx, q, qo),
-                        0.0 if reward is None else float(reward @ qo),
-                    )
+                terms = scored.get(key)
+                if terms is None:
+                    terms = _step_terms(ctx, q, A @ q)
                     if steps_below:
-                        scored[key] = node
-                (risk, ambiguity, extrinsic, intrinsic), gain = node
+                        scored[key] = terms
+                risk, ambiguity, extrinsic, intrinsic = terms
                 child_sums = (
                     sums[0] + risk,
                     sums[1] + ambiguity,
                     sums[2] + extrinsic,
                     sums[3] + intrinsic,
                 )
-                child_earned = earned if reward is None else earned + gain
-                children.append((q, child_sums, child_earned))
+                children.append((q if steps_below else None, child_sums))
         level = children
-    rows = [_breakdown(sums) for _, sums, _ in level]
-    rewards = None if reward is None else np.array([earned for _, _, earned in level])
-    return policies, rows, rewards
+    return [_breakdown(sums) for _, sums in level]
+
+
+def _expected_rewards(
+    model: GenerativeModel, root: np.ndarray, depth: int, reward: np.ndarray
+) -> np.ndarray:
+    """Expected-reward sum of every policy of the given depth, lexicographic order.
+
+    One tree level at a time, as stacked arrays: row i of Q is the predictive
+    belief of the i-th action prefix. The stacked products repeat the per-node
+    `B_a @ q`, `A @ q` and `reward @ qo`, and path sums are added in depth
+    order from +0.0, so each sum is bit for bit that of a per-node walk.
+    """
+    A, B = model.likelihood.matrix, model.transitions.tensor
+    Q, E = root[None], np.zeros(1)
+    for _ in range(depth):
+        Q = np.matmul(B[None], Q[:, None, :, None])[..., 0].reshape(-1, model.n_states)
+        QO = np.matmul(A[None], Q[:, :, None])[..., 0]
+        gain = np.matmul(QO[:, None, :], reward[None, :, None])[:, 0, 0]
+        E = np.repeat(E, model.n_actions) + gain
+    return E
 
 
 def efe_table(
     model: GenerativeModel, history: History
 ) -> tuple[tuple[Policy, ...], list[EfeBreakdown]]:
     """Breakdowns for every remaining policy, in lexicographic policy order."""
-    policies, rows, _ = _policy_tree(model, history)
-    return policies, rows
+    depth = model.horizon - history.t
+    policies = enumerate_policies(model.n_actions, depth)
+    return policies, _policy_tree(model, _root(model, history), depth)
 
 
 def trajectory_objective(
@@ -374,8 +383,12 @@ def policy_scores(
     history: History,
     kind: ObjectiveKind,
     reward_per_obs: np.ndarray | None = None,
-) -> tuple[tuple[Policy, ...], np.ndarray, list[EfeBreakdown]]:
-    """Maximization scores for every remaining policy, plus their breakdowns."""
+) -> tuple[tuple[Policy, ...], np.ndarray, list[EfeBreakdown] | None]:
+    """Maximization scores for every remaining policy, plus the EFE rows they read.
+
+    Every kind filters the history once. The `reward` kind reads no row, so
+    its rows are None; `reward_info_gain` adds the rows' intrinsic value to it.
+    """
     if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
         policies, rows = efe_table(model, history)
         return policies, np.array([-r.total for r in rows]), rows
@@ -383,10 +396,14 @@ def policy_scores(
         policies, rows = efe_table(model, history)
         return policies, np.array([r.intrinsic for r in rows]), rows
     reward = _checked_reward(model, reward_per_obs)
-    policies, rows, scores = _policy_tree(model, history, reward)
-    if kind is ObjectiveKind.REWARD_PLUS_INFO_GAIN:
-        scores = scores + np.array([r.intrinsic for r in rows])
-    return policies, scores, rows
+    depth = model.horizon - history.t
+    policies = enumerate_policies(model.n_actions, depth)
+    root = _root(model, history)
+    scores = _expected_rewards(model, root, depth, reward)
+    if kind is ObjectiveKind.EXPECTED_REWARD:
+        return policies, scores, None
+    rows = _policy_tree(model, root, depth)
+    return policies, scores + np.array([r.intrinsic for r in rows]), rows
 
 
 def policy_posterior(
@@ -412,8 +429,8 @@ def _scored_posterior(
     gamma: float,
     kind: ObjectiveKind = ObjectiveKind.EXPECTED_FREE_ENERGY,
     reward_per_obs: np.ndarray | None = None,
-) -> tuple[PolicyPosterior, list[EfeBreakdown]]:
-    """policy_posterior plus the EFE breakdowns its single tree pass scored.
+) -> tuple[PolicyPosterior, list[EfeBreakdown] | None]:
+    """policy_posterior plus the EFE rows its scores read (None for `reward`).
 
     A gamma that scales a finite score past the float range is a ValueError,
     and so is a history where no policy has a finite score. A -inf score gets

@@ -695,7 +695,10 @@ SCORE_GAMMA = 0.7
 
 
 def reference_outputs(model, history, reward, reverse=False):
-    """Per kind: the hex scores, rows and posterior log-weights of the reference walk."""
+    """Per kind: the hex scores, rows and posterior log-weights of the reference walk.
+
+    The `reward` kind reads no rows, so it has None in their place.
+    """
     rows, rewards = reference_policy_tree(model, history, reward, reverse)
     intrinsic = np.array([r.intrinsic for r in rows])
     kinds = ep.ObjectiveKind
@@ -705,8 +708,13 @@ def reference_outputs(model, history, reward, reverse=False):
         kinds.REWARD_PLUS_INFO_GAIN: rewards + intrinsic,
         kinds.INFO_GAIN_ONLY: intrinsic,
     }
+    row_hexes = [hexes(r.as_row()) for r in rows]
     return {
-        kind: (hexes(s), [hexes(r.as_row()) for r in rows], hexes(SCORE_GAMMA * s))
+        kind: (
+            hexes(s),
+            None if kind is kinds.EXPECTED_REWARD else row_hexes,
+            hexes(SCORE_GAMMA * s),
+        )
         for kind, s in scores.items()
     }
 
@@ -717,7 +725,8 @@ def tree_outputs(model, history, reward):
     for kind in ep.ObjectiveKind:
         _, scores, rows = planning.policy_scores(model, history, kind, reward)
         post = ep.policy_posterior(model, history, SCORE_GAMMA, kind, reward)
-        out[kind] = (hexes(scores), [hexes(r.as_row()) for r in rows], hexes(post.log_weights))
+        row_hexes = None if rows is None else [hexes(r.as_row()) for r in rows]
+        out[kind] = (hexes(scores), row_hexes, hexes(post.log_weights))
     return out
 
 
@@ -742,12 +751,14 @@ def count_calls(monkeypatch) -> dict:
 @pytest.mark.parametrize("kind", list(ep.ObjectiveKind))
 def test_policy_scores_filters_and_pulls_back_once(monkeypatch, kind):
     # one forward-only filter per decision: the tree reads only the belief at
-    # t, where smoothing changes nothing
+    # t, where smoothing changes nothing; the reward kind reads no planner
+    # context, so it pulls back no preferences
     calls = count_calls(monkeypatch)
     for history in (ep.History((0,), ()), ep.History((0, 5), (3,))):
         model = ep.tmaze_model()
         planning.policy_scores(model, history, kind, model.preferences.obs_log_pref)
-    assert calls == {"pullback_preferences": 2, "filter_and_smooth": 2, "smooth=False": 2}
+    pullbacks = 0 if kind is ep.ObjectiveKind.EXPECTED_REWARD else 2
+    assert calls == {"pullback_preferences": pullbacks, "filter_and_smooth": 2, "smooth=False": 2}
 
 
 def test_one_model_pulls_back_once_across_calls(monkeypatch):
@@ -884,7 +895,8 @@ def test_merged_beliefs_equal_reference_walk(rng):
         assert tree_outputs(model, history, reward) == reference_outputs(model, history, reward)
 
 
-def test_tree_scores_each_distinct_belief_once(monkeypatch, rng):
+def count_step_terms(monkeypatch) -> list:
+    """A list that grows by one entry per `planning._step_terms` call."""
     calls = []
     original = planning._step_terms
 
@@ -893,15 +905,66 @@ def test_tree_scores_each_distinct_belief_once(monkeypatch, rng):
         return original(*args)
 
     monkeypatch.setattr(planning, "_step_terms", counted)
+    return calls
+
+
+def test_tree_scores_each_distinct_belief_once(monkeypatch, rng):
+    calls = count_step_terms(monkeypatch)
     # the T-maze's 4 depth-1 beliefs are absorbing: its 16 leaves repeat them
-    planning._policy_tree(ep.tmaze_model(), ep.History((0,), ()))
+    ep.efe_table(ep.tmaze_model(), ep.History((0,), ()))
     assert len(calls) == 4
     # no belief repeats in the benchmark's dense shapes: one call per node
     for S, O, n_actions, horizon in ((20, 10, 4, 5), (12, 8, 3, 7), (48, 16, 6, 4)):
         calls.clear()
         model = benchmark_model(rng, S, O, n_actions, horizon)
-        planning._policy_tree(model, ep.History((0,), ()))
+        ep.efe_table(model, ep.History((0,), ()))
         assert len(calls) == sum(n_actions**d for d in range(1, horizon + 1))
+
+
+def test_reward_kind_scores_no_tree_node(monkeypatch, rng):
+    # the expected reward is a linear sum: no per-node EFE terms, no rows
+    calls = count_step_terms(monkeypatch)
+    kind = ep.ObjectiveKind.EXPECTED_REWARD
+    for model in (ep.tmaze_model(), benchmark_model(rng, 12, 8, 3, 7)):
+        history = ep.History((0,), ())
+        reward = rng.normal(size=model.n_obs)
+        _, _, rows = planning.policy_scores(model, history, kind, reward)
+        assert rows is None
+        ep.policy_posterior(model, history, kind=kind, reward_per_obs=reward)
+    assert calls == []
+
+
+@st.composite
+def edge_reward_cases(draw):
+    """A dense model with S <= 5, O <= 4, A <= 4 and H <= 4, one of each at 1
+    allowed, and a simulated history that decides at any t <= H - 1."""
+    S, O = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n_actions, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = benchmark_model(rng, S, O, n_actions, horizon)
+    history = simulate_history(rng, model, draw(st.integers(0, horizon - 1)))
+    return model, history, rng.normal(size=O)
+
+
+@settings(max_examples=60)
+@given(case=edge_reward_cases())
+def test_reward_scores_equal_reference_walk_at_edge_shapes(case):
+    model, history, reward = case
+    kinds = ep.ObjectiveKind
+    rows, rewards = reference_policy_tree(model, history, reward)
+    intrinsic = np.array([r.intrinsic for r in rows])
+    policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
+    for kind, want in (
+        (kinds.EXPECTED_REWARD, rewards),
+        (kinds.REWARD_PLUS_INFO_GAIN, rewards + intrinsic),
+    ):
+        got = planning.policy_scores(model, history, kind, reward)[1]
+        assert hexes(got) == hexes(want)
+        oracle = [
+            ep.alternative_objective(model, history, policy, kind, reward)
+            for policy in policies
+        ]
+        assert np.allclose(got, oracle, rtol=0, atol=1e-10)
 
 
 # State 2 emits observation 1, whose log-preference -800 pulls back to a
@@ -928,7 +991,8 @@ def test_zero_state_preference_gives_inf_risk_on_both_routes():
     history = ep.History((0,), ())
     reward = np.array([1.0, -1.0])
     assert pullback_preferences(model).probs[2] == 0.0
-    policies, rows, rewards = planning._policy_tree(model, history, reward)
+    policies, rows = ep.efe_table(model, history)
+    rewards = planning.policy_scores(model, history, ep.ObjectiveKind.EXPECTED_REWARD, reward)[1]
     ref_rows, ref_rewards = reference_policy_tree(model, history, reward)
     oracle = [ep.efe_breakdown(model, history, policy) for policy in policies]
     assert [hexes(r.as_row()) for r in rows] == [hexes(r.as_row()) for r in ref_rows]
