@@ -126,7 +126,6 @@ class GenerativeModel:
         state_pref = pullback_preferences(self)
         return PlannerContext(
             state_pref=state_pref,
-            pref_states=state_pref.probs,
             ln_pref_states=_frozen_array(safe_log(state_pref.probs)),
             ln_obs_marginal=_frozen_array(safe_log(A @ state_pref.probs)),
             col_entropy=_frozen_array(column_entropies(A)),
@@ -137,8 +136,8 @@ class GenerativeModel:
 class PlannerContext:
     """Preference quantities shared by every policy and history of one model.
 
-    state_pref is the likelihood pullback of the observation preferences and
-    pref_states its vector; ln_pref_states is its log, -inf where a preference
+    state_pref is the likelihood pullback of the observation preferences;
+    ln_pref_states is the log of its vector, -inf where a preference
     underflowed to 0; ln_obs_marginal is the log of the preference model's
     observation marginal A @ pref(s); col_entropy holds the entropy of each
     likelihood column. The model is frozen and every array is read-only, so
@@ -146,7 +145,6 @@ class PlannerContext:
     """
 
     state_pref: Categorical
-    pref_states: np.ndarray
     ln_pref_states: np.ndarray
     ln_obs_marginal: np.ndarray
     col_entropy: np.ndarray

@@ -144,9 +144,8 @@ def _step_terms(
     return risk, ambiguity, extrinsic, intrinsic
 
 
-def _breakdown(sums: tuple[float, float, float, float]) -> EfeBreakdown:
-    """The row of one policy from its (risk, ambiguity, extrinsic, intrinsic) sums."""
-    risk, ambiguity, extrinsic, intrinsic = sums
+def _breakdown(risk: float, ambiguity: float, extrinsic: float, intrinsic: float) -> EfeBreakdown:
+    """The row of one policy from its sums of each per-step term."""
     total = risk + ambiguity
     return EfeBreakdown(
         total=total,
@@ -178,7 +177,7 @@ def _breakdown_of_beliefs(
     sums = (0.0, 0.0, 0.0, 0.0)
     for tau in range(history.t + 1, len(beliefs)):
         q = beliefs[tau].probs
-        risk = kl_divergence(q, ctx.pref_states)
+        risk = kl_divergence(q, ctx.state_pref.probs)
         ambiguity = float(q @ ctx.col_entropy)
         qo = obs_marginals[tau].probs
         mask = qo > 0
@@ -189,7 +188,7 @@ def _breakdown_of_beliefs(
             intrinsic += qo[o] * kl_divergence(posterior.probs, q)
         terms = (risk, ambiguity, extrinsic, float(intrinsic))
         sums = tuple(s + x for s, x in zip(sums, terms))
-    return _breakdown(sums)
+    return _breakdown(*sums)
 
 
 def enumerate_policies(n_actions: int, length: int) -> tuple[Policy, ...]:
@@ -226,63 +225,54 @@ def _root(model: GenerativeModel, history: History) -> np.ndarray:
     return filter_and_smooth(model, history, smooth=False).per_time[history.t].probs
 
 
-def _policy_tree(model: GenerativeModel, root: np.ndarray, depth: int) -> list[EfeBreakdown]:
-    """Breakdowns for every policy of the given depth, sharing work across common prefixes.
+def _levels(model: GenerativeModel, root: np.ndarray, depth: int):
+    """(Q, QO) for each depth of the policy tree below the root belief.
 
-    Predictive marginals past the root belief at t equal it pushed through the
-    transition tensor, so the tree is expanded one depth at a time, with one
-    matrix-vector product per node. Each distinct inner belief is scored once:
-    a later node whose belief has the same bytes reuses its per-step terms.
-    Leaves are looked up but not kept, so a dense tree, where no belief
-    repeats, keeps nothing per leaf, and a leaf belief that only other leaves
-    share is scored per leaf; a leaf keeps only its path's running term sums.
-    Each node carries those sums, added in depth order from +0.0; listing
-    every parent's children in action order leaves the last level in
-    lexicographic policy order.
-    """
-    ctx = model.planner_context
-    A, B = model.likelihood.matrix, model.transitions.tensor
-    level = [(root, (0.0, 0.0, 0.0, 0.0))]
-    # belief bytes -> per-step terms of an inner node
-    scored: dict[bytes, tuple[float, float, float, float]] = {}
-    for steps_below in range(depth - 1, -1, -1):
-        children = []
-        for parent, sums in level:
-            for B_a in B:
-                q = B_a @ parent
-                key = q.tobytes()
-                terms = scored.get(key)
-                if terms is None:
-                    terms = _step_terms(ctx, q, A @ q)
-                    if steps_below:
-                        scored[key] = terms
-                risk, ambiguity, extrinsic, intrinsic = terms
-                child_sums = (
-                    sums[0] + risk,
-                    sums[1] + ambiguity,
-                    sums[2] + extrinsic,
-                    sums[3] + intrinsic,
-                )
-                children.append((q if steps_below else None, child_sums))
-        level = children
-    return [_breakdown(sums) for _, sums in level]
-
-
-def _expected_rewards(
-    model: GenerativeModel, root: np.ndarray, depth: int, reward: np.ndarray
-) -> np.ndarray:
-    """Expected-reward sum of every policy of the given depth, lexicographic order.
-
-    One tree level at a time, as stacked arrays: row i of Q is the predictive
-    belief of the i-th action prefix. The stacked products repeat the per-node
-    `B_a @ q`, `A @ q` and `reward @ qo`, and path sums are added in depth
-    order from +0.0, so each sum is bit for bit that of a per-node walk.
+    Row i of Q is the predictive belief of the i-th action prefix in
+    lexicographic order, and QO[i] is A @ Q[i]. The stacked products repeat the
+    per-node `B_a @ q` and `A @ q` bit for bit; a matrix-matrix product would not.
     """
     A, B = model.likelihood.matrix, model.transitions.tensor
-    Q, E = root[None], np.zeros(1)
+    Q = root[None]
     for _ in range(depth):
         Q = np.matmul(B[None], Q[:, None, :, None])[..., 0].reshape(-1, model.n_states)
-        QO = np.matmul(A[None], Q[:, :, None])[..., 0]
+        yield Q, np.matmul(A[None], Q[:, :, None])[..., 0]
+
+
+def _policy_tree(model: GenerativeModel, levels, depth: int) -> list[EfeBreakdown]:
+    """Breakdowns for every policy of the given depth, from the tree's `_levels`.
+
+    Each distinct inner belief is scored once; leaves are looked up but not
+    kept, so a dense tree keeps nothing per leaf. Path sums are added in depth
+    order from +0.0. Rows are built from Python floats, whose inf + -inf
+    residual is nan without a numpy warning.
+    """
+    ctx = model.planner_context
+    # belief bytes -> per-step terms of an inner node
+    scored: dict[bytes, tuple[float, float, float, float]] = {}
+    sums = np.zeros((1, 4))
+    for steps_below, (Q, QO) in zip(range(depth - 1, -1, -1), levels):
+        level_terms = np.empty((len(Q), 4))
+        for i, q in enumerate(Q):
+            key = q.tobytes()
+            terms = scored.get(key)
+            if terms is None:
+                terms = _step_terms(ctx, q, QO[i])
+                if steps_below:
+                    scored[key] = terms
+            level_terms[i] = terms
+        sums = np.repeat(sums, model.n_actions, axis=0) + level_terms
+    return [_breakdown(*row) for row in sums.tolist()]
+
+
+def _expected_rewards(model: GenerativeModel, levels, reward: np.ndarray) -> np.ndarray:
+    """Expected-reward sum of every policy, lexicographic order, from the tree's `_levels`.
+
+    The stacked product repeats the per-node `reward @ qo`, and path sums are
+    added in depth order from +0.0, as a per-node walk adds them.
+    """
+    E = np.zeros(1)
+    for _, QO in levels:
         gain = np.matmul(QO[:, None, :], reward[None, :, None])[:, 0, 0]
         E = np.repeat(E, model.n_actions) + gain
     return E
@@ -294,7 +284,7 @@ def efe_table(
     """Breakdowns for every remaining policy, in lexicographic policy order."""
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
-    return policies, _policy_tree(model, _root(model, history), depth)
+    return policies, _policy_tree(model, _levels(model, _root(model, history), depth), depth)
 
 
 def trajectory_objective(
@@ -386,8 +376,9 @@ def policy_scores(
 ) -> tuple[tuple[Policy, ...], np.ndarray, list[EfeBreakdown] | None]:
     """Maximization scores for every remaining policy, plus the EFE rows they read.
 
-    Every kind filters the history once. The `reward` kind reads no row, so
-    its rows are None; `reward_info_gain` adds the rows' intrinsic value to it.
+    Every kind filters the history once and expands the policy tree once. The
+    `reward` kind reads no row, so its rows are None; `reward_info_gain` hands
+    the same levels to the reward fold and the EFE tree and adds the two.
     """
     if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
         policies, rows = efe_table(model, history)
@@ -398,11 +389,12 @@ def policy_scores(
     reward = _checked_reward(model, reward_per_obs)
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
-    root = _root(model, history)
-    scores = _expected_rewards(model, root, depth, reward)
+    levels = _levels(model, _root(model, history), depth)
     if kind is ObjectiveKind.EXPECTED_REWARD:
-        return policies, scores, None
-    rows = _policy_tree(model, root, depth)
+        return policies, _expected_rewards(model, levels, reward), None
+    levels = list(levels)
+    rows = _policy_tree(model, levels, depth)
+    scores = _expected_rewards(model, levels, reward)
     return policies, scores + np.array([r.intrinsic for r in rows]), rows
 
 

@@ -355,7 +355,8 @@ def test_filter_bit_identical_to_reference_for_every_memory_layout(layout):
             for g, w in zip(got_beliefs.per_time, want_beliefs.per_time, strict=True):
                 assert np.array_equal(g.probs, w.probs)
         got_ctx, want_ctx = model.planner_context, want.planner_context
-        for name in ("pref_states", "ln_pref_states", "ln_obs_marginal", "col_entropy"):
+        assert np.array_equal(got_ctx.state_pref.probs, want_ctx.state_pref.probs)
+        for name in ("ln_pref_states", "ln_obs_marginal", "col_entropy"):
             assert np.array_equal(getattr(got_ctx, name), getattr(want_ctx, name)), name
         got_rows, want_rows = ep.efe_table(model, history)[1], ep.efe_table(want, history)[1]
         assert [r.as_row() for r in got_rows] == [r.as_row() for r in want_rows]
