@@ -406,7 +406,7 @@ def load_model(path) -> GenerativeModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"malformed document: {exc}") from exc
     return model_from_dict(doc)
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,6 +159,24 @@ def _breakdown(risk: float, ambiguity: float, extrinsic: float, intrinsic: float
     )
 
 
+class EfeTable(Sequence):
+    """Every policy's row, lexicographic order, each built only when read.
+
+    `sums` is the tree's read-only (N, 4) array of path sums (risk, ambiguity,
+    extrinsic, intrinsic). As Python floats, a row's inf + -inf residual is nan, unwarned.
+    """
+
+    def __init__(self, sums: np.ndarray):
+        sums.setflags(write=False)
+        self.sums = sums
+
+    def __len__(self) -> int:
+        return len(self.sums)
+
+    def __getitem__(self, i) -> EfeBreakdown:
+        return _breakdown(*self.sums[operator.index(i)].tolist())
+
+
 def efe_breakdown(model: GenerativeModel, history: History, policy: Policy) -> EfeBreakdown:
     """Evaluate one policy's expected free energy and its decompositions.
 
@@ -239,13 +259,12 @@ def _levels(model: GenerativeModel, root: np.ndarray, depth: int):
         yield Q, np.matmul(A[None], Q[:, :, None])[..., 0]
 
 
-def _policy_tree(model: GenerativeModel, levels, depth: int) -> list[EfeBreakdown]:
-    """Breakdowns for every policy of the given depth, from the tree's `_levels`.
+def _policy_tree(model: GenerativeModel, levels, depth: int) -> EfeTable:
+    """The table of every policy of the given depth, from the tree's `_levels`.
 
     Each distinct inner belief is scored once; leaves are looked up but not
     kept, so a dense tree keeps nothing per leaf. Path sums are added in depth
-    order from +0.0. Rows are built from Python floats, whose inf + -inf
-    residual is nan without a numpy warning.
+    order from +0.0, into one (N, 4) array that the table wraps.
     """
     ctx = model.planner_context
     # belief bytes -> per-step terms of an inner node
@@ -262,7 +281,7 @@ def _policy_tree(model: GenerativeModel, levels, depth: int) -> list[EfeBreakdow
                     scored[key] = terms
             level_terms[i] = terms
         sums = np.repeat(sums, model.n_actions, axis=0) + level_terms
-    return [_breakdown(*row) for row in sums.tolist()]
+    return EfeTable(sums)
 
 
 def _expected_rewards(model: GenerativeModel, levels, reward: np.ndarray) -> np.ndarray:
@@ -278,10 +297,8 @@ def _expected_rewards(model: GenerativeModel, levels, reward: np.ndarray) -> np.
     return E
 
 
-def efe_table(
-    model: GenerativeModel, history: History
-) -> tuple[tuple[Policy, ...], list[EfeBreakdown]]:
-    """Breakdowns for every remaining policy, in lexicographic policy order."""
+def efe_table(model: GenerativeModel, history: History) -> tuple[tuple[Policy, ...], EfeTable]:
+    """Every remaining policy and its table of path sums, lexicographic order."""
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
     return policies, _policy_tree(model, _levels(model, _root(model, history), depth), depth)
@@ -373,19 +390,18 @@ def policy_scores(
     history: History,
     kind: ObjectiveKind,
     reward_per_obs: np.ndarray | None = None,
-) -> tuple[tuple[Policy, ...], np.ndarray, list[EfeBreakdown] | None]:
-    """Maximization scores for every remaining policy, plus the EFE rows they read.
+) -> tuple[tuple[Policy, ...], np.ndarray, EfeTable | None]:
+    """Maximization scores for every remaining policy, plus the EFE table they read.
 
-    Every kind filters the history once and expands the policy tree once. The
-    `reward` kind reads no row, so its rows are None; `reward_info_gain` hands
-    the same levels to the reward fold and the EFE tree and adds the two.
+    Every kind filters the history once and expands the policy tree once; each
+    score is a column expression over the table's path sums, and builds no row.
+    `reward` reads no table (None); `reward_info_gain` adds the reward fold.
     """
-    if kind is ObjectiveKind.EXPECTED_FREE_ENERGY:
-        policies, rows = efe_table(model, history)
-        return policies, np.array([-r.total for r in rows]), rows
-    if kind is ObjectiveKind.INFO_GAIN_ONLY:
-        policies, rows = efe_table(model, history)
-        return policies, np.array([r.intrinsic for r in rows]), rows
+    if kind in (ObjectiveKind.EXPECTED_FREE_ENERGY, ObjectiveKind.INFO_GAIN_ONLY):
+        policies, table = efe_table(model, history)
+        if kind is ObjectiveKind.INFO_GAIN_ONLY:
+            return policies, table.sums[:, 3], table
+        return policies, -(table.sums[:, 0] + table.sums[:, 1]), table
     reward = _checked_reward(model, reward_per_obs)
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
@@ -393,9 +409,8 @@ def policy_scores(
     if kind is ObjectiveKind.EXPECTED_REWARD:
         return policies, _expected_rewards(model, levels, reward), None
     levels = list(levels)
-    rows = _policy_tree(model, levels, depth)
-    scores = _expected_rewards(model, levels, reward)
-    return policies, scores + np.array([r.intrinsic for r in rows]), rows
+    table = _policy_tree(model, levels, depth)
+    return policies, _expected_rewards(model, levels, reward) + table.sums[:, 3], table
 
 
 def policy_posterior(
@@ -421,8 +436,8 @@ def _scored_posterior(
     gamma: float,
     kind: ObjectiveKind = ObjectiveKind.EXPECTED_FREE_ENERGY,
     reward_per_obs: np.ndarray | None = None,
-) -> tuple[PolicyPosterior, list[EfeBreakdown] | None]:
-    """policy_posterior plus the EFE rows its scores read (None for `reward`).
+) -> tuple[PolicyPosterior, EfeTable | None]:
+    """policy_posterior plus the EFE table its scores read (None for `reward`).
 
     A gamma that scales a finite score past the float range is a ValueError,
     and so is a history where no policy has a finite score. A -inf score gets
@@ -432,7 +447,7 @@ def _scored_posterior(
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma!r}")
     if model.horizon - history.t < 1:
         raise ValueError("no decisions remain at this history")
-    policies, scores, rows = policy_scores(model, history, kind, reward_per_obs)
+    policies, scores, table = policy_scores(model, history, kind, reward_per_obs)
     with np.errstate(over="ignore", invalid="ignore"):
         log_weights = gamma * scores
     overflowed = np.isinf(log_weights) & np.isfinite(scores)
@@ -449,7 +464,7 @@ def _scored_posterior(
         log_weights=log_weights,
         probs=Categorical(softmax(log_weights)),
     )
-    return posterior, rows
+    return posterior, table
 
 
 def action_marginal(posterior: PolicyPosterior, n_actions: int) -> Categorical:

@@ -74,6 +74,25 @@ def test_validate_malformed_exit_2(tmp_path, capsys):
     assert "parse failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [b'\xff\xfe\x00{"a":1}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["plan"], ["run"], ["trace", "0"]], ids=lambda argv: argv[0]
+)
+def test_undecodable_document_exit_2_one_line(tmp_path, capsys, document, argv):
+    # bytes that are not UTF-8, and nesting past the JSON decoder's recursion
+    # limit, are malformed documents like any other
+    path = tmp_path / "doc.json"
+    path.write_bytes(document)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(("parse failure: malformed", "config failure: malformed"))
+
+
 def test_validate_missing_file_exit_2(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -940,6 +941,45 @@ def test_reward_kind_scores_no_tree_node(monkeypatch, rng):
     assert calls == []
 
 
+def test_decision_path_builds_no_row(monkeypatch, rng):
+    # every kind scores columns of the table's path sums; a row is built only
+    # where one is read
+    calls = []
+    original = planning._breakdown
+
+    def counted(*terms):
+        calls.append(1)
+        return original(*terms)
+
+    monkeypatch.setattr(planning, "_breakdown", counted)
+    history = ep.History((0,), ())
+    models = (ep.tmaze_model(), benchmark_model(rng, 12, 8, 3, 7))
+    for model in models:
+        reward = rng.normal(size=model.n_obs)
+        for kind in ep.ObjectiveKind:
+            ep.policy_posterior(model, history, kind=kind, reward_per_obs=reward)
+    assert calls == []
+    ep.efe_table(models[1], history)[1][5]
+    assert len(calls) == 1
+
+
+def assert_table_contract(model, history):
+    """The EFE table reads as the sequence of its rows, by integer index only."""
+    _, table = ep.efe_table(model, history)
+    rows = [hexes(r.as_row()) for r in table]
+    assert rows == [hexes(table[i].as_row()) for i in range(len(table))]
+    assert hexes(table[-1].as_row()) == rows[-1]
+    assert hexes(table[np.int64(0)].as_row()) == rows[0]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    with pytest.raises(TypeError):
+        table[0:2]
+    with pytest.raises(ValueError):
+        table.sums[0, 0] = 1.0
+    efe = planning.policy_scores(model, history, ep.ObjectiveKind.EXPECTED_FREE_ENERGY)[1]
+    assert hexes(efe) == hexes([-r.total for r in table])
+
+
 @st.composite
 def edge_cases(draw):
     """A dense model with S <= 5, O <= 4, A <= 4 and H <= 4, one of each at 1
@@ -957,6 +997,7 @@ def edge_cases(draw):
 def test_policy_scores_equal_reference_walk_at_edge_shapes(case):
     model, history, reward = case
     assert tree_outputs(model, history, reward) == reference_outputs(model, history, reward)
+    assert_table_contract(model, history)
     policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
     for kind in ep.ObjectiveKind:
         got = planning.policy_scores(model, history, kind, reward)[1]
@@ -1002,6 +1043,10 @@ def test_zero_state_preference_gives_inf_risk_on_both_routes():
     assert np.array_equal(np.isinf(risks), [np.isinf(bd.risk) for bd in oracle])
     assert np.isinf(risks[policies.index(ep.Policy((1, 1, 1)))])
     assert np.isfinite(risks[policies.index(ep.Policy((0, 0, 0)))])
+    # an inf risk meets a -inf extrinsic value: the row's residual is nan,
+    # with no numpy warning
+    assert any(math.isnan(r.residual) for r in rows)
+    assert_table_contract(model, history)
 
 
 def test_plan_with_zero_state_preference_prints_no_warning(tmp_path, capsys):
