@@ -86,11 +86,12 @@ def cmd_plan(args) -> int:
         print(f"bad history: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        posterior, rows = _scored_posterior(model, history, args.gamma)
+        posterior, table = _scored_posterior(model, history, args.gamma)
     except ValueError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
+    rows = list(table)  # built once, read by the sort and the print
     order = sorted(
         range(len(rows)), key=lambda i: (rows[i].total, posterior.policies[i].actions)
     )

@@ -11,12 +11,14 @@ rescales each observed step by its evidence, so long histories stay in range.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maths import logsumexp, safe_log
-from .model import Categorical, GenerativeModel, History, Policy, categorical_rows
+from .maths import NORM_ATOL, logsumexp, safe_log
+from .model import Categorical, GenerativeModel, History, Policy, _frozen_array
 
 ENUMERATION_CAP = 10**7
 _TINY = np.finfo(float).tiny  # the smallest evidence a filter step accepts
@@ -48,17 +50,31 @@ class HorizonOverflow(ValueError):
     """The requested enumeration exceeds the configured joint-term cap."""
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalBeliefs:
-    """Per-timestep posteriors over states, index 0 .. len(actions)."""
+class MarginalBeliefs(Sequence):
+    """Per-timestep posteriors over states, index 0 .. len(actions), as one block.
 
-    per_time: tuple[Categorical, ...]
+    `block` is a read-only (L, S) copy of the marginals, every row checked in
+    one vectorized pass by the rule `Categorical` applies. `beliefs[t]` wraps
+    row t, a read-only view, in a Categorical that is built only when read.
+    """
+
+    def __init__(self, block):
+        block = _frozen_array(block)
+        if block.ndim != 2:
+            raise ValueError("MarginalBeliefs requires a 2-D (timesteps, states) block")
+        if not ((block >= 0).all() and (np.abs(block.sum(axis=1) - 1.0) <= NORM_ATOL).all()):
+            raise ValueError(
+                f"probabilities must be non-negative and sum to 1 within {NORM_ATOL}"
+            )
+        self.block = block
 
     def __len__(self) -> int:
-        return len(self.per_time)
+        return len(self.block)
 
-    def __getitem__(self, t: int) -> Categorical:
-        return self.per_time[t]
+    def __getitem__(self, t) -> Categorical:
+        row = object.__new__(Categorical)  # the block is already checked
+        object.__setattr__(row, "probs", self.block[operator.index(t)])
+        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +89,10 @@ class StateTrajectoryPosterior:
     probs: Categorical
 
     def marginals(self, n_states: int) -> MarginalBeliefs:
-        """Collapse the sequence posterior to per-timestep state marginals."""
-        L = self.sequences.shape[1]
-        out = []
-        for tau in range(L):
-            m = np.bincount(
-                self.sequences[:, tau], weights=self.probs.probs, minlength=n_states
-            )
-            out.append(Categorical(m / m.sum()))
-        return MarginalBeliefs(tuple(out))
+        """Per-timestep marginals, one block: each row a weighted bincount over its sum."""
+        w = self.probs.probs
+        block = np.stack([np.bincount(s, weights=w, minlength=n_states) for s in self.sequences.T])
+        return MarginalBeliefs(block / block.sum(axis=1, keepdims=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +202,9 @@ def filter_and_smooth(
     earlier observations. Backward: beta_tau = B[a_{tau+1}]^T (A[o_{tau+1}] *
     beta_{tau+1}) / c_{tau+1}, or B[a_{tau+1}]^T beta_{tau+1} past the last
     observation, with the entries of states whose alpha_{tau+1} is 0 dropped.
-    The L marginals are the rows of alpha*beta, each divided by its sum:
-    read-only row views of one frozen block (`categorical_rows`).
+    The L marginals are the rows of alpha*beta, each divided by its sum, and
+    the call returns them as one checked block: a row's Categorical is built
+    only when a caller reads it.
 
     ZeroEvidence is raised at the first observed step whose c_tau is below
     np.finfo(float).tiny (~2.2e-308): an impossible observation, or one whose
@@ -241,7 +253,7 @@ def filter_and_smooth(
             beta = np.dot(beta, B[actions[tau]])
             alphas[tau] *= beta
     alphas /= alphas.sum(axis=1, keepdims=True)
-    return MarginalBeliefs(categorical_rows(alphas))
+    return MarginalBeliefs(alphas)
 
 
 def predictive_observations(
@@ -250,7 +262,7 @@ def predictive_observations(
     """Push state marginals through the likelihood: one obs marginal per timestep."""
     A = model.likelihood.matrix
     out = []
-    for b in beliefs.per_time:
+    for b in beliefs:
         qo = A @ b.probs
         out.append(Categorical(qo / qo.sum()))
     return tuple(out)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,26 +48,6 @@ class Categorical:
 
     def __len__(self) -> int:
         return self.probs.shape[0]
-
-
-def categorical_rows(block) -> tuple[Categorical, ...]:
-    """One Categorical per row of a 2-D block, each a read-only view of one frozen copy.
-
-    Every row is checked in one vectorized pass by the rule `Categorical`
-    applies (non-negative, summing to 1 within NORM_ATOL), which replaces one
-    copy and one check per row.
-    """
-    block = _frozen_array(block)
-    if not ((block >= 0).all() and (np.abs(block.sum(axis=1) - 1.0) <= NORM_ATOL).all()):
-        raise ValueError(
-            f"probabilities must be non-negative and sum to 1 within {NORM_ATOL}"
-        )
-    rows = []
-    for row in block:
-        c = object.__new__(Categorical)
-        object.__setattr__(c, "probs", row)
-        rows.append(c)
-    return tuple(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,14 +133,17 @@ class PlannerContext:
 
 @dataclass(frozen=True)
 class History:
-    """Observed prefix of a trial: o_0..o_t and the actions a_1..a_t between them."""
+    """Observed prefix of a trial: o_0..o_t and the actions a_1..a_t between them.
+
+    Indices are taken by operator.index, so a float such as 1.9 is a TypeError.
+    """
 
     observations: tuple[int, ...]
     actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "observations", tuple(int(o) for o in self.observations))
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
+        object.__setattr__(self, "observations", tuple(map(operator.index, self.observations)))
+        object.__setattr__(self, "actions", tuple(map(operator.index, self.actions)))
         if len(self.actions) != len(self.observations) - 1:
             raise ValueError(
                 "history requires len(actions) == len(observations) - 1 "
@@ -174,12 +158,12 @@ class History:
 
 @dataclass(frozen=True)
 class Policy:
-    """A committed sequence of future actions a_{t+1}..a_T."""
+    """A committed sequence of future actions a_{t+1}..a_T, integers as in History."""
 
     actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
+        object.__setattr__(self, "actions", tuple(map(operator.index, self.actions)))
 
     def __len__(self) -> int:
         return len(self.actions)

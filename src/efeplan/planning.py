@@ -242,7 +242,7 @@ def _policy_space(n_actions: int, length: int) -> tuple[Policy, ...]:
 
 def _root(model: GenerativeModel, history: History) -> np.ndarray:
     """The filtered belief at t, which smoothing would leave bit for bit unchanged."""
-    return filter_and_smooth(model, history, smooth=False).per_time[history.t].probs
+    return filter_and_smooth(model, history, smooth=False)[history.t].probs
 
 
 def _levels(model: GenerativeModel, root: np.ndarray, depth: int):

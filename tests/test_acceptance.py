@@ -304,7 +304,7 @@ def test_acceptance_7_normalization_and_invariance_suite():
         marginal = ep.action_marginal(posterior, model.n_actions)
         worst_norm = max(worst_norm, abs(marginal.probs.sum() - 1.0))
         pref = ep.preferential_inference(model, history)
-        for cat in (*pref.future_states, *pref.future_obs, *pref.past.per_time):
+        for cat in (*pref.future_states, *pref.future_obs, *pref.past):
             worst_norm = max(worst_norm, abs(cat.probs.sum() - 1.0))
 
         shifted = ep.make_model(

@@ -115,6 +115,20 @@ def test_plan_prints_16_sorted_rows(tmaze_path, capsys):
     assert abs(sum(probs) - 1.0) < 1e-9
 
 
+def test_plan_builds_each_row_once(tmaze_path, capsys, monkeypatch):
+    built = []
+    breakdown = ep.planning._breakdown
+
+    def counted(*sums):
+        built.append(sums)
+        return breakdown(*sums)
+
+    monkeypatch.setattr(ep.planning, "_breakdown", counted)
+    assert main(["plan", str(tmaze_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17
+    assert len(built) == 16
+
+
 def test_plan_gamma_zero_uniform_posterior(tmaze_path, capsys):
     assert main(["plan", str(tmaze_path), "--gamma", "0"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]

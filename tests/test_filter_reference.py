@@ -93,10 +93,8 @@ def reference_filter_and_smooth(
         betas.append(lb)
     betas.reverse()
 
-    marginals = tuple(
-        ep.Categorical(reference_softmax(alphas[tau] + betas[tau])) for tau in range(L)
-    )
-    return ep.MarginalBeliefs(marginals)
+    marginals = [reference_softmax(alphas[tau] + betas[tau]) for tau in range(L)]
+    return ep.MarginalBeliefs(np.stack(marginals))
 
 
 def _outcome(filter_fn, model, history, policy):
@@ -352,7 +350,7 @@ def test_filter_bit_identical_to_reference_for_every_memory_layout(layout):
         for smooth in (True, False):
             got_beliefs = ep.filter_and_smooth(model, history, policy, smooth=smooth)
             want_beliefs = ep.filter_and_smooth(want, history, policy, smooth=smooth)
-            for g, w in zip(got_beliefs.per_time, want_beliefs.per_time, strict=True):
+            for g, w in zip(got_beliefs, want_beliefs, strict=True):
                 assert np.array_equal(g.probs, w.probs)
         got_ctx, want_ctx = model.planner_context, want.planner_context
         assert np.array_equal(got_ctx.state_pref.probs, want_ctx.state_pref.probs)
@@ -364,18 +362,39 @@ def test_filter_bit_identical_to_reference_for_every_memory_layout(layout):
         assert_same_root(model, history)
 
 
-def test_filter_marginals_are_read_only_rows_of_one_block():
+def test_filter_marginals_are_read_only_rows_of_one_block(monkeypatch):
     rng = np.random.default_rng(8)
     model, history, policy = _late_case(rng, (16, 8, 4, 64), sparse=False, tail=True)
     for smooth in (True, False):
         beliefs = ep.filter_and_smooth(model, history, policy, smooth=smooth)
-        block = beliefs[0].probs.base
-        assert block is not None and block.shape == (len(beliefs), model.n_states)
-        for b in beliefs.per_time:
+        block = beliefs.block
+        assert block.shape == (len(beliefs), model.n_states) and not block.flags.writeable
+        for b in (*beliefs, beliefs[-1]):
             assert b.probs.base is block
             assert not b.probs.flags.writeable
             with pytest.raises(ValueError):
                 b.probs[0] = 0.5
+        assert np.array_equal(beliefs[-1].probs, block[len(beliefs) - 1])
+        with pytest.raises(IndexError):
+            beliefs[len(beliefs)]
+        with pytest.raises(TypeError):
+            beliefs[1:3]
+    with pytest.raises(ValueError, match="2-D"):
+        ep.MarginalBeliefs(block[0])
+
+    # A decision builds the row of its root belief at t = 62, and no other.
+    reads = []
+    read_row = ep.MarginalBeliefs.__getitem__
+
+    def spy(self, t):
+        reads.append(t)
+        return read_row(self, t)
+
+    monkeypatch.setattr(ep.MarginalBeliefs, "__getitem__", spy)
+    for kind in ep.ObjectiveKind:
+        reads.clear()
+        ep.policy_posterior(model, history, kind=kind, reward_per_obs=np.ones(model.n_obs))
+        assert reads == [history.t] == [62], kind
 
 
 def test_filter_caches_nothing_on_the_model():

@@ -46,7 +46,7 @@ def records_equal(a: ep.TrialRecord, b: ep.TrialRecord) -> bool:
 
 def stacked(beliefs: ep.MarginalBeliefs) -> np.ndarray:
     """Per-timestep beliefs as one (timesteps, states) matrix."""
-    return np.stack([c.probs for c in beliefs.per_time])
+    return np.stack([c.probs for c in beliefs])
 
 
 def test_trial_record_shapes():
@@ -73,7 +73,7 @@ def test_trial_record_shapes():
     assert len(trace.held_at) == T + 1
     for beliefs in trace.held_at:
         assert len(beliefs) == T + 1
-        for b in beliefs.per_time:
+        for b in beliefs:
             assert abs(b.probs.sum() - 1.0) < 1e-10
 
 

@@ -279,7 +279,7 @@ def test_predictive_observations_dirac_belief_gives_likelihood_column(rng):
     s = 1
     dirac = np.zeros(model.n_states)
     dirac[s] = 1.0
-    beliefs = ep.MarginalBeliefs((ep.Categorical(dirac),))
+    beliefs = ep.MarginalBeliefs(dirac[np.newaxis])
     (obs_marg,) = ep.predictive_observations(model, beliefs)
     assert np.allclose(obs_marg.probs, model.likelihood.matrix[:, s], atol=1e-12)
 
@@ -319,7 +319,7 @@ def test_conditional_posterior_dirac_prior_unchanged():
     model = ep.tmaze_model()
     dirac = np.zeros(8)
     dirac[6] = 1.0
-    beliefs = ep.MarginalBeliefs((ep.Categorical(dirac),))
+    beliefs = ep.MarginalBeliefs(dirac[np.newaxis])
     post = ep.conditional_state_posterior(model, beliefs, 0, 5)
     assert np.allclose(post.probs, dirac, atol=1e-12)
 
@@ -328,7 +328,7 @@ def test_conditional_posterior_zero_probability_observation():
     model = ep.tmaze_model()
     dirac = np.zeros(8)
     dirac[0] = 1.0  # middle emits only middle-null
-    beliefs = ep.MarginalBeliefs((ep.Categorical(dirac),))
+    beliefs = ep.MarginalBeliefs(dirac[np.newaxis])
     with pytest.raises(ep.ZeroProbabilityObservation):
         ep.conditional_state_posterior(model, beliefs, 0, 5)
 
@@ -388,7 +388,7 @@ def test_all_returned_distributions_normalized(rng):
         remaining = model.horizon - history.t
         policy = ep.Policy(tuple(rng.integers(0, model.n_actions, size=remaining)))
         beliefs = ep.filter_and_smooth(model, history, policy)
-        for b in beliefs.per_time:
+        for b in beliefs:
             assert abs(b.probs.sum() - 1.0) < 1e-10
             assert np.all(b.probs >= 0)
         for o in ep.predictive_observations(model, beliefs):

@@ -8,7 +8,7 @@ import pytest
 
 import efeplan as ep
 from efeplan.data import data_path
-from efeplan.model import NORM_ATOL, categorical_rows, model_from_dict
+from efeplan.model import NORM_ATOL, model_from_dict
 
 from conftest import random_model
 
@@ -211,17 +211,19 @@ def test_planner_context_is_built_once_and_read_only(rng):
 
 
 def test_categorical_rows_are_read_only_views_of_one_frozen_copy():
+    """MarginalBeliefs copies its block once; each row it hands out is a view of that copy."""
     block = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
-    rows = categorical_rows(block)
+    beliefs = ep.MarginalBeliefs(block)
+    rows = list(beliefs)
     assert [type(c) for c in rows] == [ep.Categorical] * 3
-    base = rows[0].probs.base
+    base = beliefs.block
     assert base is not block and not base.flags.writeable
     for c, want in zip(rows, block):
         assert c.probs.base is base and np.array_equal(c.probs, want)
         with pytest.raises(ValueError):
             c.probs[0] = 0.0
     block[0, 0] = 0.5  # the caller's array stays its own
-    assert rows[0].probs[0] == 0.25
+    assert rows[0].probs[0] == 0.25 and beliefs[0].probs[0] == 0.25
 
 
 @pytest.mark.parametrize(
@@ -231,12 +233,13 @@ def test_categorical_rows_are_read_only_views_of_one_frozen_copy():
 )
 def test_categorical_rows_reject_a_bad_row(bad_row):
     with pytest.raises(ValueError, match="non-negative and sum to 1"):
-        categorical_rows(np.array([[0.5, 0.5], bad_row, [0.0, 1.0]]))
+        ep.MarginalBeliefs(np.array([[0.5, 0.5], bad_row, [0.0, 1.0]]))
     with pytest.raises(ValueError):
         ep.Categorical(np.array(bad_row))
 
 
 def test_categorical_rows_accept_exactly_what_categorical_accepts():
+    """The block's one vectorized check gives each row the verdict Categorical gives it."""
     rng = np.random.default_rng(4)
     verdicts = set()
     for n in (1, 2, 7, 9, 32, 33):
@@ -249,13 +252,31 @@ def test_categorical_rows_accept_exactly_what_categorical_accepts():
             except ValueError:
                 row_ok = False
             try:
-                categorical_rows(np.stack([row, row, row]))
+                ep.MarginalBeliefs(np.stack([row, row, row]))
                 block_ok = True
             except ValueError:
                 block_ok = False
             assert row_ok == block_ok
             verdicts.add(row_ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "indices_of",
+    [
+        lambda i: ep.History((0, i), (2,)).observations,
+        lambda i: ep.History((0, 2), (i,)).actions,
+        lambda i: ep.Policy((2, i)).actions,
+    ],
+    ids=["history-observations", "history-actions", "policy-actions"],
+)
+def test_indices_are_integers_never_truncated(indices_of):
+    for index in (1, np.int64(1), np.uint8(1), True):
+        got = indices_of(index)
+        assert got[-1] == 1 and type(got[-1]) is int
+    for index in (1.9, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            indices_of(index)
 
 
 def test_bundled_tmaze_file_equals_tmaze_model():

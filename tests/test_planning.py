@@ -646,7 +646,7 @@ def reference_policy_tree(model, history, reward, reverse=False):
     ctx = model.planner_context
     A, B = model.likelihood.matrix, model.transitions.tensor
     policies = ep.enumerate_policies(model.n_actions, model.horizon - history.t)
-    root = ep.filter_and_smooth(model, history).per_time[history.t].probs
+    root = ep.filter_and_smooth(model, history)[history.t].probs
     belief_cache = {(): root}
     term_cache = {}
     reward_cache = {}
