@@ -92,9 +92,8 @@ def cmd_plan(args) -> int:
         return EXIT_DOMAIN
 
     rows = list(table)  # built once, read by the sort and the print
-    order = sorted(
-        range(len(rows)), key=lambda i: (rows[i].total, posterior.policies[i].actions)
-    )
+    # A stable sort of lexicographic indices breaks ties in total by actions.
+    order = sorted(range(len(rows)), key=lambda i: rows[i].total)
     header = "policy,total,risk,ambiguity,extrinsic,intrinsic,residual,probability"
     print(header)
     for i in order:

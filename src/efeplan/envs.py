@@ -12,7 +12,7 @@ environment and the agent's generative model.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +83,11 @@ class TMazeParams:
         unknown = set(overrides) - known
         if unknown:
             raise ValueError(f"unknown T-maze overrides: {sorted(unknown)}")
+        # int/float comparisons are exact, so an int too large for a float fails here.
         for key, value in overrides.items():
-            finite = type(value) is float and math.isfinite(value)
-            if type(value) is not int and not finite:
+            if not (
+                type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+            ):
                 raise ValueError(
                     f"T-maze override {key} must be a finite number, got {value!r}"
                 )

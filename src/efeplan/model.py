@@ -354,7 +354,7 @@ def model_from_dict(doc: dict) -> GenerativeModel:
         B = np.array(doc["transitions"], dtype=float)
         D = np.array(doc["initial_belief"], dtype=float)
         C = np.array(doc["obs_log_pref"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"non-numeric tensor data: {exc}") from exc
     if A.ndim != 2 or B.ndim != 3 or D.ndim != 1 or C.ndim != 1:
         raise ModelFormatError("tensor fields have wrong rank")

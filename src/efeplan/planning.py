@@ -25,8 +25,6 @@ form by the chain rule, is provided for cross-checking that assumption.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -107,11 +105,39 @@ class TrajectoryObjective:
     ambiguity: float
 
 
+@dataclass(frozen=True, slots=True)
+class PolicySpace(Sequence):
+    """Every policy of one length, lexicographic order, each built when read.
+
+    Policy i is spelled by the base-n_actions digits of i, most significant first.
+    """
+
+    n_actions: int
+    length: int
+
+    def __len__(self) -> int:
+        return self.n_actions**self.length
+
+    def __getitem__(self, i) -> Policy:
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"policy index {i} out of range({n})")
+        i, powers = i % n, reversed(range(self.length))
+        return Policy(i // self.n_actions**k % self.n_actions for k in powers)
+
+    @property
+    def first_actions(self) -> np.ndarray:
+        """Each policy's first action, in policy order."""
+        if self.length < 1:
+            raise ValueError("an empty policy has no first action")
+        return np.arange(self.n_actions).repeat(self.n_actions ** (self.length - 1))
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyPosterior:
-    """Softmax distribution over every remaining policy, lexicographic order."""
+    """Softmax distribution over every remaining policy: entry i is `policies[i]`."""
 
-    policies: tuple[Policy, ...]
+    policies: PolicySpace
     log_weights: np.ndarray
     probs: Categorical
 
@@ -211,15 +237,14 @@ def _breakdown_of_beliefs(
     return _breakdown(*sums)
 
 
-def enumerate_policies(n_actions: int, length: int) -> tuple[Policy, ...]:
-    """All action sequences of the given length, lexicographic order.
+def enumerate_policies(n_actions: int, length: int) -> PolicySpace:
+    """All action sequences of the given length, lexicographic order, as an index.
 
-    Calls for one (n_actions, length) return the same tuple, kept in a cache of
-    the last few shapes, so posteriors of one shape share their policies.
-    More than POLICY_CAP policies, or a length above POLICY_CAP, is a
-    PolicySpaceOverflow. The count is never built: with at least 2 actions,
-    POLICY_CAP.bit_length() steps already exceed the cap, and below that the
-    power of at most POLICY_CAP + 1 has a bounded number of digits.
+    No policy is built until one is read. More than POLICY_CAP policies, or a
+    length above POLICY_CAP, is a PolicySpaceOverflow. The count is never
+    built: with at least 2 actions, POLICY_CAP.bit_length() steps already
+    exceed the cap, and below that the power of at most POLICY_CAP + 1 has a
+    bounded number of digits.
     """
     if length > POLICY_CAP or (
         n_actions > 1
@@ -232,12 +257,7 @@ def enumerate_policies(n_actions: int, length: int) -> tuple[Policy, ...]:
             f"{n_actions} actions over {length} steps exceed the cap of "
             f"{POLICY_CAP} policies"
         )
-    return _policy_space(n_actions, length)
-
-
-@functools.lru_cache(maxsize=8)
-def _policy_space(n_actions: int, length: int) -> tuple[Policy, ...]:
-    return tuple(Policy(seq) for seq in itertools.product(range(n_actions), repeat=length))
+    return PolicySpace(n_actions, length)
 
 
 def _root(model: GenerativeModel, history: History) -> np.ndarray:
@@ -297,7 +317,7 @@ def _expected_rewards(model: GenerativeModel, levels, reward: np.ndarray) -> np.
     return E
 
 
-def efe_table(model: GenerativeModel, history: History) -> tuple[tuple[Policy, ...], EfeTable]:
+def efe_table(model: GenerativeModel, history: History) -> tuple[PolicySpace, EfeTable]:
     """Every remaining policy and its table of path sums, lexicographic order."""
     depth = model.horizon - history.t
     policies = enumerate_policies(model.n_actions, depth)
@@ -390,7 +410,7 @@ def policy_scores(
     history: History,
     kind: ObjectiveKind,
     reward_per_obs: np.ndarray | None = None,
-) -> tuple[tuple[Policy, ...], np.ndarray, EfeTable | None]:
+) -> tuple[PolicySpace, np.ndarray, EfeTable | None]:
     """Maximization scores for every remaining policy, plus the EFE table they read.
 
     Every kind filters the history once and expands the policy tree once; each
@@ -468,10 +488,8 @@ def _scored_posterior(
 
 
 def action_marginal(posterior: PolicyPosterior, n_actions: int) -> Categorical:
-    """Marginalize the policy posterior onto the next action."""
-    if not posterior.policies:
-        raise ValueError("empty policy posterior")
-    first_actions = [policy.actions[0] for policy in posterior.policies]
+    """Marginalize the policy posterior onto the next action of each policy in its space."""
+    first_actions = posterior.policies.first_actions
     # bincount adds the weights one by one in policy order, from zero.
     marginal = np.bincount(first_actions, weights=posterior.probs.probs, minlength=n_actions)
     if marginal.shape != (n_actions,):

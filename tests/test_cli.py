@@ -381,6 +381,28 @@ def test_validation_report_is_one_line_exit_1(tmp_path, capsys, command, changes
     assert len(captured.err.splitlines()) == 1
 
 
+def _with_huge_entry(field):
+    """The T-maze's `field` tensor with its first entry set to 10**400."""
+    tensor = tmaze_doc()[field]
+    row = tensor
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = 10**400
+    return tensor
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+@pytest.mark.parametrize(
+    "field", ["likelihood", "transitions", "initial_belief", "obs_log_pref"]
+)
+def test_tensor_entry_too_large_for_a_float_exit_2(tmp_path, capsys, command, field):
+    path = write_tmaze_doc(tmp_path, **{field: _with_huge_entry(field)})
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse failure:") and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_run_non_numeric_override_exit_1(tmp_path, capsys):
     doc = {
         "environment": {"name": "tmaze", "overrides": {"punishment": "abc"}},
@@ -395,6 +417,24 @@ def test_run_non_numeric_override_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "punishment" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out" / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["trace", "0"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+def test_override_too_large_for_a_float_exit_1(tmp_path, capsys, argv, value):
+    doc = {
+        "environment": {"name": "tmaze", "overrides": {"reward_log_pref": value}},
+        "agents": ["efe"],
+        "n_trials": 2,
+        "master_seed": 3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "reward_log_pref" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / "out" / "trials.csv").exists()
 
 
 def test_run_writes_files_and_reruns_identically(config_path, tmp_path, capsys):

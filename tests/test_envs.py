@@ -162,7 +162,12 @@ def test_param_overrides():
 
 
 @pytest.mark.parametrize(
-    "value", ["abc", "5", True, None, [1.0], float("nan"), float("inf")]
+    "value",
+    [
+        "abc", "5", True, None, [1.0], float("nan"), float("inf"),
+        pytest.param(10**400, id="10**400"),
+        pytest.param(-(10**400), id="-10**400"),
+    ],
 )
 def test_overrides_must_be_finite_numbers(monkeypatch, value):
     def no_model(*args, **kwargs):

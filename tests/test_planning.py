@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,10 +376,13 @@ def test_policy_space_cap(monkeypatch):
 
 
 def test_action_marginal_single_policy_dirac():
+    policies = ep.enumerate_policies(4, 2)
+    probs = np.zeros(len(policies))
+    probs[policies.index(ep.Policy((2, 0)))] = 1.0
     post = ep.PolicyPosterior(
-        policies=(ep.Policy((2, 0)),),
-        log_weights=np.array([0.0]),
-        probs=ep.Categorical([1.0]),
+        policies=policies,
+        log_weights=np.log(np.maximum(probs, 1e-300)),
+        probs=ep.Categorical(probs),
     )
     marg = ep.action_marginal(post, n_actions=4)
     assert np.allclose(marg.probs, [0, 0, 1, 0], atol=0)
@@ -386,7 +390,7 @@ def test_action_marginal_single_policy_dirac():
 
 def test_action_marginal_two_policies():
     post = ep.PolicyPosterior(
-        policies=(ep.Policy((0,)), ep.Policy((1,))),
+        policies=ep.enumerate_policies(2, 1),
         log_weights=np.array([0.0, 0.0]),
         probs=ep.Categorical([0.7, 0.3]),
     )
@@ -417,23 +421,24 @@ def test_action_marginal_matches_reference_loop_bit_for_bit(rng):
                     model.n_actions,
                 )
             )
-    # Hand-built: unordered, repeated and missing first actions, tiny and
-    # zero weights, and sums whose rounding depends on the order of addition.
-    for policies, weights, n_actions in [
-        ([(2, 0), (0, 1), (2, 2), (1, 0), (2, 1)], [0.1, 0.2, 0.3, 1e-17, 0.4], 4),
-        ([(0,), (0,), (0,)], [1 / 3, 1 / 3, 1 / 3], 3),
-        ([(1,), (0,), (1,), (1,)], [0.7, 0.0, 0.1 + 1e-16, 0.2 - 1e-16], 2),
-        ([(3, 3)], [1.0], 5),
+    # Hand weights: tiny and zero weights, unequal blocks of first actions,
+    # and sums whose rounding depends on the order of addition.
+    for (n_actions, length), weights, minlength in [
+        ((3, 2), [0.1, 0.2, 0.3, 1e-17, 0.4, 0.0, 0.5, 1e-300, 0.25], 4),
+        ((3, 1), [1 / 3, 1 / 3, 1 / 3], 3),
+        ((2, 2), [0.7, 0.0, 0.1 + 1e-16, 0.2 - 1e-16], 2),
+        ((2, 3), [0.1, 0.2, 0.3, 1e-16, 0.2 - 1e-16, 0.1, 0.1 + 1e-16, 0.0], 2),
+        ((4, 1), [0.0, 0.0, 0.0, 1.0], 5),
     ]:
         probs = np.asarray(weights) / np.sum(weights)
         posteriors.append(
             (
                 ep.PolicyPosterior(
-                    policies=tuple(ep.Policy(p) for p in policies),
+                    policies=ep.enumerate_policies(n_actions, length),
                     log_weights=np.log(np.maximum(probs, 1e-300)),
                     probs=ep.Categorical(probs),
                 ),
-                n_actions,
+                minlength,
             )
         )
     for posterior, n_actions in posteriors:
@@ -442,41 +447,76 @@ def test_action_marginal_matches_reference_loop_bit_for_bit(rng):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("first", [4, -1])
-def test_action_marginal_rejects_out_of_range_first_action(first):
+def test_action_marginal_rejects_out_of_range_first_action():
     post = ep.PolicyPosterior(
-        policies=(ep.Policy((0, 1)), ep.Policy((first, 0))),
-        log_weights=np.array([0.0, 0.0]),
-        probs=ep.Categorical([0.5, 0.5]),
+        policies=ep.enumerate_policies(5, 1),
+        log_weights=np.zeros(5),
+        probs=ep.Categorical(np.full(5, 0.2)),
     )
     with pytest.raises(ValueError):
         ep.action_marginal(post, n_actions=4)
 
 
-def test_enumerate_policies_shares_one_tuple_per_shape(monkeypatch):
-    first = ep.enumerate_policies(3, 4)
-    assert ep.enumerate_policies(3, 4) is first
+def test_enumerate_policies_order_and_cap_before_construction(monkeypatch):
     monkeypatch.setattr(planning, "POLICY_CAP", 81)
-    assert ep.enumerate_policies(3, 4) is first
-    assert ep.enumerate_policies(4, 3) is not first
-    assert first == tuple(
+    assert tuple(ep.enumerate_policies(3, 4)) == tuple(
         ep.Policy((a, b, c, d))
         for a in range(3)
         for b in range(3)
         for c in range(3)
         for d in range(3)
     )
-    model = ep.tmaze_model()
-    reward = model.preferences.obs_log_pref
-    posts = [
-        ep.policy_posterior(model, ep.History((0,), ()), kind=kind, reward_per_obs=reward)
-        for kind in ep.ObjectiveKind
-    ]
-    assert all(post.policies is ep.enumerate_policies(4, 2) for post in posts)
-    # the cap is checked before the shared tuple is looked up
+    # the cap is checked before any space is built
+    monkeypatch.setattr(planning, "PolicySpace", None)
     monkeypatch.setattr(planning, "POLICY_CAP", 80)
     with pytest.raises(ep.PolicySpaceOverflow):
         ep.enumerate_policies(3, 4)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (4, 2), (3, 4), (5, 3), (3, 0)], ids=lambda shape: "%d^%d" % shape
+)
+def test_policy_space_index_is_product_order(shape):
+    n_actions, length = shape
+    space = ep.enumerate_policies(n_actions, length)
+    rows = list(itertools.product(range(n_actions), repeat=length))
+    assert len(space) == len(rows)
+    assert [space[i].actions for i in range(len(space))] == rows
+    assert [p.actions for p in space] == rows
+    assert space[-1].actions == rows[-1] and space[-len(rows)].actions == rows[0]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            space[i]
+    for i in (1.0, slice(0, 1)):
+        with pytest.raises(TypeError):
+            space[i]
+    if length:
+        assert space.first_actions.tolist() == [p.actions[0] for p in space]
+    else:
+        with pytest.raises(ValueError, match="no first action"):
+            space.first_actions
+
+
+def test_policy_space_is_fixed_by_its_shape():
+    assert ep.enumerate_policies(4, 2) == planning.PolicySpace(4, 2)
+    assert ep.enumerate_policies(4, 2) != ep.enumerate_policies(2, 4)
+    assert ep.enumerate_policies(1, 0)[0] == ep.Policy(())
+    model = ep.tmaze_model()
+    reward = model.preferences.obs_log_pref
+    for kind in ep.ObjectiveKind:
+        post = ep.policy_posterior(model, ep.History((0,), ()), kind=kind, reward_per_obs=reward)
+        assert post.policies == planning.PolicySpace(4, 2)
+
+
+def test_policy_space_at_the_cap_builds_no_policies():
+    tracemalloc.start()
+    try:
+        space = ep.enumerate_policies(10, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(space) == planning.POLICY_CAP
+    assert peak < 64 * 1024
 
 
 def test_select_action_argmax_tie_breaks_low():
